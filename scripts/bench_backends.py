@@ -15,8 +15,9 @@ verifying along the way that both vector-VM variants' outputs are
 bit-identical to the reference backend's.  The JSON artifact records
 wall-clock per (kernel, backend, batch size), per-kernel tape statistics
 (instructions before/after optimization, fused superinstruction counts,
-arena peak buffers) and per-kernel plus geometric-mean speedups, so future
-PRs can track the throughput trajectory; ``--check`` exits non-zero when
+arena peak buffers, demanded slot window and its width) and per-kernel
+plus geometric-mean speedups, so future PRs can track the throughput
+trajectory; ``--check`` exits non-zero when
 the geomean vector-vm speedup at the largest batch size falls below
 ``--min-speedup`` (the acceptance bar is 11x at B=32 since the tape
 compiler landed; it was 5x for the legacy interpreter).
@@ -91,6 +92,8 @@ def main() -> int:
                 "fused_total": tape_stats["fused_total"],
                 "eliminated": tape_stats["eliminated"],
                 "arena_slots": tape_stats["arena_slots"],
+                "window": tape_stats["window"],
+                "width": tape_stats["width"],
             },
             "wall_s": {backend: {} for backend in BACKENDS},
             "speedup_vs_reference": {},

@@ -25,6 +25,13 @@ them:
     consumers, deleting the standalone multiply: the fusion pass with its
     single-use legality check skipped.
 
+``shrink-window``
+    Recompile the tape over its demanded-slot window narrowed by one slot
+    at either end: the demand analysis losing a rotation's shift or an
+    output's last slot.  The mutant is internally consistent (its
+    constants, loads and rotation steps all agree with the narrower
+    window), so only the independent cone proof can reject it.
+
 All randomness is a ``random.Random(seed)``; the same seed replays the same
 mutants.  :func:`run_mutation_harness` verifies the pristine schedule is
 clean first, then requires every applied mutant to produce at least one
@@ -41,6 +48,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis import AnalysisReport
 from repro.analysis.tape_check import verify_plan_ops
 from repro.backends.tape import CompiledTape, TapeOp
+from repro.backends.tapeopt import compile_tape
 from repro.compiler.circuit import CircuitProgram
 
 __all__ = [
@@ -58,6 +66,7 @@ DEFECT_CLASSES = (
     "drop-reduction",
     "extend-lifetime",
     "skip-fusion-check",
+    "shrink-window",
 )
 
 #: Input bound whose plan tape-level mutations are applied to (smallest
@@ -71,12 +80,18 @@ _LARGE_BOUND = 1 << 62
 
 @dataclass(frozen=True)
 class Mutation:
-    """One injected defect: a doctored op schedule for one bucket."""
+    """One injected defect: a doctored op schedule for one bucket.
+
+    ``tape`` is the doctored tape the schedule belongs to when the defect
+    lies in the tape itself (``shrink-window``); ``None`` means the
+    pristine tape.
+    """
 
     kind: str
     description: str
     ops: Tuple[TapeOp, ...]
     bucket: int
+    tape: Optional[CompiledTape] = None
 
 
 @dataclass(frozen=True)
@@ -250,6 +265,23 @@ def enumerate_mutations(
                 )
             )
 
+    elif kind == "shrink-window":
+        lo, hi = tape.window
+        if hi - lo > 1:  # a one-column window has nothing left to shrink
+            for end, window in (("low", (lo + 1, hi)), ("high", (lo, hi - 1))):
+                narrowed = compile_tape(program, tape.params, window=window)
+                plan = narrowed.plan_for(bucket)
+                mutations.append(
+                    Mutation(
+                        kind,
+                        f"shrink window [{lo}, {hi}) at the {end} end to "
+                        f"[{window[0]}, {window[1]})",
+                        tuple(plan.ops),
+                        plan.bucket,
+                        tape=narrowed,
+                    )
+                )
+
     else:
         raise ValueError(f"unknown defect class {kind!r}")
     return mutations
@@ -261,7 +293,7 @@ def verify_mutation(
     """Run the tape verifier over one mutant schedule."""
     return verify_plan_ops(
         program,
-        tape,
+        mutation.tape or tape,
         mutation.ops,
         bucket=mutation.bucket,
         location=f"mutant[{mutation.kind}]:{program.name}",

@@ -18,8 +18,9 @@ whole pipeline opaquely.
     validates packing layouts and output lengths instead.  Rotation steps
     are likewise *not* required to lie in ``[0, n)`` here —
     circuits are parameter-independent and lowering legitimately emits
-    negative steps; normalization into ``[1, n)`` happens at backend
-    compile time and is enforced by the ``tape-arena`` checker.
+    negative steps; normalization into ``[1, w)`` over the tape's slot
+    window happens at backend compile time and is enforced by the
+    ``tape-arena`` checker.
 
 ``pipeline-circuit``
     Invariants on the lowered :class:`~repro.compiler.circuit.CircuitProgram`:

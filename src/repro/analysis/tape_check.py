@@ -7,12 +7,23 @@ preserve:
 ``tape-arena`` (register-arena safety)
     Every buffer an op reads was written first (def-before-use over the
     re-derived def-use chains), nothing ever writes into the read-only
-    constant pool, rotation steps are normalized into ``[1, n)`` (the
-    slice-based rotate corrupts the buffer otherwise), and the no-alias
+    constant pool, rotation steps are normalized into ``[1, w)`` for the
+    tape's window width ``w`` (the slice-based rotate corrupts the buffer
+    otherwise), and the no-alias
     constraints of the multi-step superinstructions hold: rotations write
     their destination before the source is fully read (``dst`` must not
     alias *any* operand) and the fused accumulator forms overwrite ``dst``
     before reading ``c``.
+
+``tape-window`` (demanded-slot window soundness)
+    Each output's dependency cone is recomputed from the *circuit* — an
+    interval per register, shifted through every rotation by its signed
+    step — independently of the optimizer's own analysis, and must lie
+    inside the tape's window ``[L, H)`` with ``H - L <= n`` (a window of
+    ``n`` columns is the exact ring and needs no proof).  Every output must
+    read its slots from the column holding ring slot 0.  This is what makes
+    the narrowed equivalence check below sound: a demanded column never
+    reads a wrapped, undemanded one.
 
 ``tape-outputs`` (output coverage)
     Every output the circuit declares reaches exactly one
@@ -31,8 +42,9 @@ preserve:
 ``tape-equivalence`` (translation validation + fusion legality)
     Both the original circuit and the tape are executed symbolically over a
     normalized term domain (commutative operands sorted, rotation steps
-    reduced mod ``n``, loads and constants keyed by their centred slot
-    content, fused superinstructions unfolded, congruence-preserving
+    taken as the signed ring shift ``d`` reduced mod the window width
+    ``w``, loads and constants keyed by their centred content over the
+    window's slots, fused superinstructions unfolded, congruence-preserving
     reductions erased).  Every tape output's term must equal the circuit's
     term for that output — one oracle that catches swapped operands,
     clobbered lifetimes, dropped or reordered ops and illegal fusion.
@@ -185,14 +197,14 @@ def check_arena(
                 location=where,
             )
         if op.kind in ("rot", "rot_add", "rot_mul", "rot_mul_add"):
-            if not 0 < op.step < tape.n:
+            if not 0 < op.step < tape.width:
                 report.add(
                     "tape-arena",
                     "rotation-normalization",
                     Severity.ERROR,
                     f"rotation step {op.step} is not normalized into "
-                    f"[1, {tape.n}); the slice-based rotate would corrupt "
-                    "the buffer",
+                    f"[1, {tape.width}) (the window width); the slice-based "
+                    "rotate would corrupt the buffer",
                     location=where,
                 )
         defined.add(op.dst)
@@ -208,6 +220,101 @@ def check_arena(
                 location=location,
             )
     report.mark_ran("tape-arena")
+
+
+# ---------------------------------------------------------------------------
+# tape-window: every output's dependency cone lies inside the window
+# ---------------------------------------------------------------------------
+def _signed_shift(step: int, n: int) -> int:
+    """The ring rotation by ``step`` as a signed shift in ``(-n/2, n/2]``."""
+    step = int(step) % n
+    return step - n if step > n // 2 else step
+
+
+def _output_cones(program: CircuitProgram, n: int) -> Dict[str, Tuple[int, int]]:
+    """Per declared output, the slot hull ``[lo, hi)`` its value depends on.
+
+    Walks the circuit backwards from each output (which reads slots
+    ``[0, length)``, at least one), giving every register the hull of the
+    slot intervals its consumers read and shifting an interval by the
+    signed step at every rotation.  Slots are integers, not ring positions:
+    a hull of ``n`` or more slots needs the whole ring.
+    """
+    cones: Dict[str, Tuple[int, int]] = {}
+    for register, name, length in program.outputs:
+        demand: Dict[int, Tuple[int, int]] = {register: (0, max(length, 1))}
+        lo, hi = demand[register]
+        for instruction in reversed(program.instructions):
+            span = demand.get(instruction.result)
+            if span is None:
+                continue
+            shift = (
+                _signed_shift(instruction.step, n)
+                if instruction.opcode is Opcode.ROTATE
+                else 0
+            )
+            start, stop = span[0] + shift, span[1] + shift
+            lo, hi = min(lo, start), max(hi, stop)
+            for operand in instruction.operands:
+                current = demand.get(operand)
+                if current is None:
+                    demand[operand] = (start, stop)
+                else:
+                    demand[operand] = (min(start, current[0]), max(stop, current[1]))
+        cones[name] = (lo, hi)
+    return cones
+
+
+@register_checker(
+    "tape-window",
+    "tape",
+    "demanded-slot window: every output's dependency cone lies in [L, H)",
+)
+def check_window(
+    report: AnalysisReport,
+    program: CircuitProgram,
+    tape: CompiledTape,
+    ops: Sequence[TapeOp],
+    *,
+    location: str,
+) -> None:
+    n, width = tape.n, tape.width
+    lo, hi = tape.window
+    if not 0 < width <= n:
+        report.add(
+            "tape-window",
+            "window-shape",
+            Severity.ERROR,
+            f"window [{lo}, {hi}) is not a non-empty slot interval of at "
+            f"most n={n} columns",
+            location=location,
+        )
+        report.mark_ran("tape-window")
+        return
+    if width < n:  # a full-width window is the exact ring: nothing to prove
+        for name, (start, stop) in _output_cones(program, n).items():
+            if start < lo or stop > hi:
+                report.add(
+                    "tape-window",
+                    "cone-outside-window",
+                    Severity.ERROR,
+                    f"output {name!r} depends on slots [{start}, {stop}), "
+                    f"outside the executed window [{lo}, {hi})",
+                    location=location,
+                )
+    slot0 = (0 - lo) % n
+    for output in tape.outputs:
+        if output.column != slot0 or output.column + output.length > width:
+            report.add(
+                "tape-window",
+                "output-column",
+                Severity.ERROR,
+                f"output {output.name!r} reads columns [{output.column}, "
+                f"{output.column + output.length}); ring slot 0 is column "
+                f"{slot0} of a {width}-column window",
+                location=location,
+            )
+    report.mark_ran("tape-window")
 
 
 # ---------------------------------------------------------------------------
@@ -357,47 +464,63 @@ def _binary(kind: str, x: object, y: object) -> Tuple:
 
 
 def _circuit_terms(
-    program: CircuitProgram, t: int, n: int
+    program: CircuitProgram, t: int, n: int, window: Tuple[int, int]
 ) -> Dict[str, object]:
-    """Symbolic terms of every declared circuit output.
+    """Symbolic terms of every declared circuit output over ``window``.
 
     The normalization mirrors what the tape optimizer is *allowed* to do:
-    rotation steps are reduced mod ``n`` (step 0 is the identity),
-    commutative operands are sorted, OUTPUT markers are aliases, and loads
-    and plaintext constants are keyed by their centred slot content — so
-    deduplication and CSE become the identity in this domain.
+    a rotation is its signed ring shift reduced mod the window width ``w``
+    (a step of 0 mod ``n`` is the identity), commutative operands are
+    sorted, OUTPUT markers are aliases, and loads and plaintext constants
+    are keyed by their centred content over the window's ring slots
+    ``(L + j) mod n`` — so deduplication and CSE become the identity in
+    this domain.  Reducing rotations mod ``w`` is only sound because
+    ``tape-window`` proves every output cone lies inside the window.
     """
     half = t // 2
+    lo, hi = window
+    width = hi - lo
 
     def centred(value: int) -> int:
         residue = int(value) % t
         return residue - t if residue > half else residue
+
+    def column(slot: int) -> Optional[int]:
+        position = (slot - lo) % n
+        return position if position < width else None
 
     terms: Dict[int, object] = {}
     for instruction in program.instructions:
         opcode = instruction.opcode
         dst = instruction.result
         if opcode is Opcode.LOAD_INPUT:
-            template = np.zeros(n, dtype=np.int64)
+            template = np.zeros(width, dtype=np.int64)
             var_columns: List[Tuple[int, str]] = []
-            for column, slot in enumerate(instruction.layout):
+            for slot_index, slot in enumerate(instruction.layout):
+                position = column(slot_index)
+                if position is None:
+                    continue
                 if slot.constant is not None:
-                    template[column] = centred(slot.constant)
+                    template[position] = centred(slot.constant)
                 else:
-                    var_columns.append((column, slot.name))
+                    var_columns.append((position, slot.name))
             terms[dst] = ("load", tuple(var_columns), template.tobytes())
         elif opcode is Opcode.LOAD_PLAIN:
             if instruction.name == "broadcast":
-                plain = np.full(n, centred(instruction.values[0]), dtype=np.int64)
+                plain = np.full(
+                    width, centred(instruction.values[0]), dtype=np.int64
+                )
             else:
-                plain = np.zeros(n, dtype=np.int64)
-                values = [centred(v) for v in instruction.values]
-                plain[: len(values)] = values
+                plain = np.zeros(width, dtype=np.int64)
+                for slot_index, value in enumerate(instruction.values):
+                    position = column(slot_index)
+                    if position is not None:
+                        plain[position] = centred(value)
             terms[dst] = ("plain", plain.tobytes())
         elif opcode is Opcode.ROTATE:
-            step = instruction.step % n
+            shift = _signed_shift(instruction.step, n)
             source = terms[instruction.operands[0]]
-            terms[dst] = source if step == 0 else ("rot", source, step)
+            terms[dst] = source if shift == 0 else ("rot", source, shift % width)
         elif opcode is Opcode.OUTPUT:
             terms[dst] = terms[instruction.operands[0]]
         elif opcode is Opcode.NEGATE:
@@ -463,10 +586,10 @@ def check_equivalence(
     *,
     location: str,
 ) -> None:
-    n, t = tape.n, tape.t
+    n, t, width = tape.n, tape.t, tape.width
     try:
-        circuit_outputs = _circuit_terms(program, t, n)
-    except (KeyError, ValueError) as exc:
+        circuit_outputs = _circuit_terms(program, t, n, tape.window)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         report.add(
             "tape-equivalence",
             "circuit-malformed",
@@ -502,19 +625,19 @@ def check_equivalence(
         if kind == "neg":
             term: object = ("neg", a)
         elif kind == "rot":
-            term = ("rot", a, op.step % n)
+            term = ("rot", a, op.step % width)
         elif kind in ("add", "sub", "mul"):
             term = _binary(kind, a, b)
         elif kind == "rot_add":
-            rotated = ("rot", a, op.step % n)
+            rotated = ("rot", a, op.step % width)
             fused_inner.append((index, rotated))
             term = _binary("add", rotated, b)
         elif kind == "rot_mul":
-            rotated = ("rot", a, op.step % n)
+            rotated = ("rot", a, op.step % width)
             fused_inner.append((index, rotated))
             term = _binary("mul", rotated, b)
         elif kind == "rot_mul_add":
-            rotated = ("rot", a, op.step % n)
+            rotated = ("rot", a, op.step % width)
             product = _binary("mul", rotated, b)
             fused_inner.append((index, rotated))
             fused_inner.append((index, product))
@@ -585,6 +708,7 @@ def verify_plan_ops(
     """Verify one explicit op schedule (used by the mutation harness)."""
     where = location or f"tape:{program.name} plan[bucket={bucket}]"
     report = AnalysisReport()
+    check_window(report, program, tape, ops, location=where)
     check_arena(report, program, tape, ops, location=where)
     check_bounds(report, program, tape, ops, location=where, bucket=bucket)
     check_equivalence(report, program, tape, ops, location=where)
@@ -600,13 +724,14 @@ def verify_tape(
 ) -> AnalysisReport:
     """Statically verify ``tape`` against the circuit it was compiled from.
 
-    Output coverage and translation validation run once over the raw tape;
-    arena safety and the interval analysis run per reduction plan — one per
-    bucketed ``input_bounds`` entry — since reduce placement depends on the
-    input-magnitude bucket.
+    The window proof, output coverage and translation validation run once
+    over the raw tape; arena safety and the interval analysis run per
+    reduction plan — one per bucketed ``input_bounds`` entry — since reduce
+    placement depends on the input-magnitude bucket.
     """
     where = location or f"tape:{program.name}"
     report = AnalysisReport()
+    check_window(report, program, tape, tape.ops, location=where)
     check_outputs(report, program, tape, tape.ops, location=where)
     check_equivalence(report, program, tape, tape.ops, location=where)
     seen_buckets: Set[int] = set()

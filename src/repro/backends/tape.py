@@ -4,10 +4,13 @@ A :class:`CompiledTape` is what :mod:`repro.backends.tapeopt` produces from a
 :class:`~repro.compiler.circuit.CircuitProgram`: a short, optimized list of
 :class:`TapeOp` superinstructions over a fixed **register arena** (liveness
 colored buffer slots plus a read-only constant pool), with every piece of
-noise/latency accounting precomputed at compile time.  Executing a tape is
-then pure numpy: the slots are checked out of a per-tape pool, every
-operation writes through ``out=`` into an existing buffer, and the hot loop
-carries no bound arithmetic, no ledger calls and no allocations.
+noise/latency accounting precomputed at compile time.  Every buffer spans
+only the tape's demanded **window**: ``w`` columns, column ``j`` holding
+ring slot ``(L + j) mod n``, so a batch runs over ``(B, w)`` rows rather
+than the full ``(B, n)`` ring.  Executing a tape is then pure numpy: the
+slots are checked out of a per-tape pool, every operation writes through
+``out=`` into an existing buffer, and the hot loop carries no bound
+arithmetic, no ledger calls and no allocations.
 
 Three pieces live here:
 
@@ -69,9 +72,12 @@ _NO_ALIAS_ALL = frozenset({"rot", "rot_add", "rot_mul", "rot_mul_add"})
 #: (the first ufunc overwrites ``dst`` before the second reads ``c``).
 _NO_ALIAS_ACC = frozenset({"mul_add", "mul_sub_l", "mul_sub_r", "rot_mul_add"})
 
-#: How many checked-in arenas a tape keeps per batch size.  Two covers the
-#: steady state (one server tick in flight plus one warm spare) without
-#: letting a long-lived tape pin unbounded memory.
+#: How many checked-in arenas a tape keeps per row capacity.  Arenas are
+#: pooled by power-of-two capacity and a batch runs over the leading
+#: ``[:B]`` rows, so a tape parks at most ``_POOL_DEPTH`` arenas for each
+#: of the ``log2`` capacities however many distinct batch sizes it sees.
+#: Two covers the steady state (one server tick in flight plus one warm
+#: spare).
 _POOL_DEPTH = 2
 
 #: Opt-in per-superinstruction profiling.  Off by default; the only cost on
@@ -149,7 +155,8 @@ class TapeOp:
     """One optimized tape instruction over arena buffer indices.
 
     ``kind`` semantics (``R[i]`` is buffer ``i``; rotations are left
-    rotations by ``step`` slots, matching ``np.roll(x, -step, axis=1)``):
+    rotations by ``step`` columns of the tape's window, matching
+    ``np.roll(x, -step, axis=1)`` over ``(B, w)`` rows):
 
     ========== =====================================
     kind        effect
@@ -181,9 +188,11 @@ class TapeOp:
 class TapeLoad:
     """One deduplicated encrypted input: fill ``buffer`` from a template.
 
-    ``template`` holds the centred constant slots (zero elsewhere) and is
-    broadcast into the whole ``(B, n)`` buffer; ``var_columns`` are the
-    ``(column, input_name)`` pairs overwritten per batch row afterwards.
+    ``template`` holds the centred constant slots of the window (zero
+    elsewhere) and is broadcast into the whole ``(B, w)`` buffer;
+    ``var_columns`` are the ``(window_column, input_name)`` pairs
+    overwritten per batch row afterwards.  Inputs packed outside the
+    window are dropped: no output depends on them.
     """
 
     buffer: int
@@ -194,13 +203,18 @@ class TapeLoad:
 
 @dataclass(frozen=True)
 class TapeOutput:
-    """Where one declared program output lives after optimization."""
+    """Where one declared program output lives after optimization.
+
+    The output is ``length`` slots of ``buffer`` starting at window column
+    ``column`` (the column holding ring slot 0).
+    """
 
     name: str
     buffer: int
     length: int
     is_ciphertext: bool
     budget: float = 0.0
+    column: int = 0
 
 
 @dataclass(frozen=True)
@@ -256,7 +270,13 @@ class TapePlan:
 
 
 class CompiledTape:
-    """An optimized, directly executable form of one circuit."""
+    """An optimized, directly executable form of one circuit.
+
+    ``window`` is the demanded slot window ``(L, H)`` and ``width`` its
+    column count ``H - L``; a full-ring tape has window ``(0, n)``.
+    ``input_names`` lists every program input the live loads read, inside
+    the window or not, so input validation does not depend on narrowing.
+    """
 
     def __init__(
         self,
@@ -265,6 +285,8 @@ class CompiledTape:
         consts: List[np.ndarray],
         const_bounds: List[int],
         slot_count: int,
+        window: Tuple[int, int],
+        input_names: Tuple[str, ...],
         loads: List[TapeLoad],
         ops: List[TapeOp],
         outputs: List[TapeOutput],
@@ -280,6 +302,9 @@ class CompiledTape:
         self.consts = consts
         self.const_bounds = const_bounds
         self.slot_count = slot_count
+        self.window = window
+        self.width = window[1] - window[0]
+        self.input_names = input_names
         self.loads = loads
         self.ops = ops
         self.outputs = outputs
@@ -377,23 +402,24 @@ class CompiledTape:
         return scheduled
 
     # -- arena pool ----------------------------------------------------------
-    def _checkout(self, batch: int) -> List[np.ndarray]:
+    def _checkout(self, capacity: int) -> List[np.ndarray]:
         with self._lock:
-            pool = self._pool.get(batch)
+            pool = self._pool.get(capacity)
             if pool:
                 return pool.pop()
         return [
-            np.empty((batch, self.n), dtype=np.int64) for _ in range(self.slot_count)
+            np.empty((capacity, self.width), dtype=np.int64)
+            for _ in range(self.slot_count)
         ]
 
-    def _checkin(self, batch: int, slots: List[np.ndarray]) -> None:
+    def _checkin(self, capacity: int, slots: List[np.ndarray]) -> None:
         with self._lock:
-            pool = self._pool.setdefault(batch, [])
+            pool = self._pool.setdefault(capacity, [])
             if len(pool) < _POOL_DEPTH:
                 pool.append(slots)
 
     def pooled_arenas(self) -> int:
-        """How many arenas are currently parked in the pool (all batch sizes)."""
+        """How many arenas are currently parked in the pool (all capacities)."""
         with self._lock:
             return sum(len(arenas) for arenas in self._pool.values())
 
@@ -426,35 +452,34 @@ class CompiledTape:
             return []
         t, half = self.t, self.half
 
-        # Marshal the variable inputs once per distinct name and track the
+        # Marshal (and validate) every input the live loads read once per
+        # name, including inputs packed outside the window, and track the
         # largest centred magnitude, which selects the reduction plan.
         name_values: Dict[str, np.ndarray] = {}
         input_bound = 0
-        for load in self.loads:
-            for _, name in load.var_columns:
-                if name in name_values:
-                    continue
-                values = np.empty(batch, dtype=np.int64)
-                for row, inputs in enumerate(inputs_list):
-                    value = inputs.get(name)
-                    if value is None:
-                        raise CompilationError(
-                            f"missing value for program input {name!r}"
-                        )
-                    if isinstance(value, (list, tuple)):
-                        raise CompilationError(
-                            f"input {name!r} is packed slot-wise and must be a scalar"
-                        )
-                    residue = int(value) % t
-                    values[row] = residue - t if residue > half else residue
-                name_values[name] = values
-                if batch:
-                    input_bound = max(input_bound, int(np.max(np.abs(values))))
+        for name in self.input_names:
+            values = np.empty(batch, dtype=np.int64)
+            for row, inputs in enumerate(inputs_list):
+                value = inputs.get(name)
+                if value is None:
+                    raise CompilationError(
+                        f"missing value for program input {name!r}"
+                    )
+                if isinstance(value, (list, tuple)):
+                    raise CompilationError(
+                        f"input {name!r} is packed slot-wise and must be a scalar"
+                    )
+                residue = int(value) % t
+                values[row] = residue - t if residue > half else residue
+            name_values[name] = values
+            input_bound = max(input_bound, int(np.max(np.abs(values))))
 
         plan = self.plan_for(input_bound)
-        slots = self._checkout(batch)
+        capacity = 1 << (batch - 1).bit_length()
+        slots = self._checkout(capacity)
         try:
-            buffers = self.consts + slots
+            rows = slots if capacity == batch else [slot[:batch] for slot in slots]
+            buffers = self.consts + rows
             for load in self.loads:
                 target = buffers[load.buffer]
                 np.copyto(target, load.template)
@@ -462,15 +487,15 @@ class CompiledTape:
                     target[:, column] = name_values[name]
             if _PROFILING:
                 _interpret_profiled(
-                    plan.ops, buffers, t, half, self.n, self._profile(), batch
+                    plan.ops, buffers, t, half, self.width, self._profile(), batch
                 )
             elif specialize:
                 plan.function()(buffers)
             else:
-                _interpret(plan.ops, buffers, t, half, self.n)
+                _interpret(plan.ops, buffers, t, half, self.width)
             reports = self._build_reports(buffers, batch, backend_name)
         finally:
-            self._checkin(batch, slots)
+            self._checkin(capacity, slots)
         return reports
 
     def _build_reports(
@@ -493,13 +518,14 @@ class CompiledTape:
         ]
         for output in self.outputs:
             array = buffers[output.buffer]
+            columns = slice(output.column, output.column + output.length)
             if not output.is_ciphertext:
-                raw = array[: output.length] % t
+                raw = array[columns] % t
                 decoded = [int(v - t) if v > half else int(v) for v in raw]
                 for report in reports:
                     report.outputs[output.name] = list(decoded)
                 continue
-            raw = array[:, : output.length] % t
+            raw = array[:, columns] % t
             centred = np.where(raw > half, raw - t, raw)
             for row, report in enumerate(reports):
                 report.outputs[output.name] = [int(v) for v in centred[row]]
@@ -522,7 +548,8 @@ class CompiledTape:
         lines.append(
             "tape: {instr} instructions -> {after} tape entries "
             "({ops} ops, {loads} loads, {consts} consts), "
-            "{fused} fused, arena {slots} x ({n},) rows".format(
+            "{fused} fused, arena {slots} x ({w},) rows, "
+            "window [{lo}, {hi}) of {n}".format(
                 instr=stats.get("instructions"),
                 after=stats.get("tape_entries"),
                 ops=stats.get("tape_ops"),
@@ -530,6 +557,9 @@ class CompiledTape:
                 consts=stats.get("consts"),
                 fused=stats.get("fused_total"),
                 slots=self.slot_count,
+                w=self.width,
+                lo=self.window[0],
+                hi=self.window[1],
                 n=self.n,
             )
         )
@@ -582,7 +612,7 @@ class CompiledTape:
             kind = "ct" if output.is_ciphertext else "plain"
             lines.append(
                 f"  output {output.name!r} <- {buf(output.buffer)}"
-                f"[:{output.length}] ({kind})"
+                f"[{output.column}:{output.column + output.length}] ({kind})"
             )
         lines.append(
             f"plan[bucket={plan.bucket}]: {plan.reductions} scheduled reductions"
@@ -593,14 +623,14 @@ class CompiledTape:
 # ---------------------------------------------------------------------------
 # the fallback interpreter (opt level 1: optimized tape, dispatch loop)
 # ---------------------------------------------------------------------------
-def _rotate_into(dst: np.ndarray, src: np.ndarray, step: int, n: int) -> None:
-    split = n - step
+def _rotate_into(dst: np.ndarray, src: np.ndarray, step: int, width: int) -> None:
+    split = width - step
     dst[:, :split] = src[:, step:]
     dst[:, split:] = src[:, :step]
 
 
 def _interpret(
-    ops: Sequence[TapeOp], buffers: List[np.ndarray], t: int, half: int, n: int
+    ops: Sequence[TapeOp], buffers: List[np.ndarray], t: int, half: int, width: int
 ) -> None:
     np_add, np_sub, np_mul = np.add, np.subtract, np.multiply
     for op in ops:
@@ -622,15 +652,15 @@ def _interpret(
             np_mul(buffers[op.a], buffers[op.b], out=dst)
             np_sub(buffers[op.c], dst, out=dst)
         elif kind == "rot":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], op.step, width)
         elif kind == "rot_add":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], op.step, width)
             np_add(dst, buffers[op.b], out=dst)
         elif kind == "rot_mul":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], op.step, width)
             np_mul(dst, buffers[op.b], out=dst)
         elif kind == "rot_mul_add":
-            _rotate_into(dst, buffers[op.a], op.step, n)
+            _rotate_into(dst, buffers[op.a], op.step, width)
             np_mul(dst, buffers[op.b], out=dst)
             np_add(dst, buffers[op.c], out=dst)
         elif kind == "neg":
@@ -647,7 +677,7 @@ def _interpret_profiled(
     buffers: List[np.ndarray],
     t: int,
     half: int,
-    n: int,
+    width: int,
     profile: TapeProfile,
     rows: int,
 ) -> None:
@@ -663,7 +693,7 @@ def _interpret_profiled(
     clock = time.perf_counter_ns
     for op in ops:
         start = clock()
-        _interpret((op,), buffers, t, half, n)
+        _interpret((op,), buffers, t, half, width)
         duration = clock() - start
         kind = op.kind
         counts[kind] = counts.get(kind, 0) + 1
@@ -683,7 +713,7 @@ def _specialize(plan: TapePlan) -> Tuple[Callable, str]:
     the generated body.
     """
     tape = plan.tape
-    n, t, half = tape.n, tape.t, tape.half
+    width, t, half = tape.width, tape.t, tape.half
     used = set()
     for op in plan.ops:
         for index in (op.dst, op.a, op.b, op.c):
@@ -716,7 +746,7 @@ def _specialize(plan: TapePlan) -> Tuple[Callable, str]:
             lines.append(f"    _mul({a}, {b}, out={dst})")
             lines.append(f"    _sub({c}, {dst}, out={dst})")
         elif kind in ("rot", "rot_add", "rot_mul", "rot_mul_add"):
-            split = n - op.step
+            split = width - op.step
             lines.append(f"    {dst}[:, :{split}] = {a}[:, {op.step}:]")
             lines.append(f"    {dst}[:, {split}:] = {a}[:, :{op.step}]")
             if kind == "rot_add":

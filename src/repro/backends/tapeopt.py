@@ -12,16 +12,26 @@ peephole passes over the SSA instruction list and emits a
    collapse into one read-only constant-pool entry, identical ``LOAD_INPUT``
    layouts into one load, and identical pure subexpressions are value
    numbered (CSE).  Dead values left behind are dropped.
-3. **Superinstruction fusion** — the dominant reduction chains fuse:
+3. **Demanded-slot narrowing** — a backward interval analysis starts from
+   the output slots ``[0, length)`` and shifts demand through every
+   rotation by its *signed* step, so the whole tape only needs the window
+   ``[L, H)`` (the hull of every demanded interval).  Column ``j`` of the
+   tape's ``(B, w)`` buffers holds ring slot ``(L + j) mod n``; constants
+   and load templates are sliced to the window, output/input columns are
+   remapped, and rotations become ``d mod w`` over the narrow ring.  A hull
+   of ``n`` or more slots keeps the full ring ``[0, n)``.  Values equal on
+   every window column (constants or loads differing only outside it,
+   rotations whose steps agree mod ``w``) are then value-numbered into one.
+4. **Superinstruction fusion** — the dominant reduction chains fuse:
    ``mul``/``mul_plain`` feeding a single-use ``add``/``sub`` becomes
    ``mul_add``/``mul_sub_*``, and a single-use ``rotate`` feeding ``mul``,
    ``add`` or a fused ``mul_add`` folds into ``rot_mul``/``rot_add``/
    ``rot_mul_add``.
-4. **Register-arena coloring** — SSA values are liveness-colored onto
+5. **Register-arena coloring** — SSA values are liveness-colored onto
    reusable buffer slots.  Elementwise ops may write in place over an
    operand slot (numpy ufuncs are exact-aliasing safe); rotations and the
    multi-step fused ops get a destination slot disjoint from their operands.
-5. **Accounting replay** — the *original* instruction sequence is replayed
+6. **Accounting replay** — the *original* instruction sequence is replayed
    once through :class:`~repro.backends.base.NoiseLedger` and
    :class:`~repro.fhe.meter.ExecutionMeter`; the resulting latency,
    operation counts and noise budgets are input independent and therefore
@@ -43,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -177,10 +187,98 @@ def _replay_accounting(
 
 
 # ---------------------------------------------------------------------------
+# demanded-slot narrowing
+# ---------------------------------------------------------------------------
+def _signed_step(step: int, n: int) -> int:
+    """A rotation step normalized into ``[1, n)`` as the shortest signed shift.
+
+    Steps past ``n // 2`` are rotations to the right, so their demand stays
+    next to slot 0 instead of wrapping to the top of the ring.
+    """
+    return step if step <= n // 2 else step - n
+
+
+def _demanded_window(
+    values: List[_Def],
+    order: List[int],
+    output_refs: List[Tuple[str, Tuple[str, int], int, int]],
+    n: int,
+) -> Tuple[int, int]:
+    """The window ``[L, H)`` of slots the outputs depend on.
+
+    A backward interval analysis over the live SSA values (``order`` is
+    topological, so walking it in reverse visits every consumer before its
+    producers): each output demands ``[0, length)``, elementwise ops pass
+    their demand to every operand, and a rotation by signed step ``d``
+    shifts it by ``d``.  Per-value demand is an interval hull, which keeps
+    the analysis linear in the tape.  The window is the hull of every
+    demanded interval; one of ``n`` or more slots is the full ring
+    ``[0, n)``, where no narrowing applies.
+    """
+    demand: Dict[int, Tuple[int, int]] = {}
+    lo, hi = 0, 1
+
+    def require(ref: Tuple[str, int], start: int, stop: int) -> None:
+        nonlocal lo, hi
+        lo, hi = min(lo, start), max(hi, stop)
+        if ref[0] == "v":
+            current = demand.get(ref[1])
+            if current is not None:
+                start, stop = min(start, current[0]), max(stop, current[1])
+            demand[ref[1]] = (start, stop)
+
+    for _, ref, length, _ in output_refs:
+        # A zero-length output still reads one slot, so every live value
+        # has a non-empty demand and every live rotation a non-zero step.
+        require(ref, 0, max(length, 1))
+    for vid in reversed(order):
+        defn = values[vid]
+        start, stop = demand[vid]
+        if defn.kind == "rot":
+            shift = _signed_step(defn.step, n)
+            start, stop = start + shift, stop + shift
+        for ref in (defn.x, defn.y):
+            if ref is not None:
+                require(ref, start, stop)
+    if hi - lo >= n:
+        return 0, n
+    return lo, hi
+
+
+def _row_bound(row: np.ndarray) -> int:
+    """The largest magnitude in a centred constant row."""
+    return int(np.max(np.abs(row)))
+
+
+def _window_row(
+    columns: Iterable[Tuple[int, int]], lo: int, width: int, n: int
+) -> np.ndarray:
+    """A ``(width,)`` row holding ``(ring_slot, value)`` pairs in the window."""
+    row = np.zeros(width, dtype=np.int64)
+    pairs = list(columns)
+    if pairs:
+        slots, entries = zip(*pairs)
+        positions = (np.asarray(slots, dtype=np.int64) - lo) % n
+        inside = positions < width
+        row[positions[inside]] = np.asarray(entries, dtype=np.int64)[inside]
+    return row
+
+
+# ---------------------------------------------------------------------------
 # the optimization pipeline
 # ---------------------------------------------------------------------------
-def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape:
-    """Compile ``program`` into an optimized executable tape."""
+def compile_tape(
+    program: CircuitProgram,
+    params: BFVParameters,
+    *,
+    window: Optional[Tuple[int, int]] = None,
+) -> CompiledTape:
+    """Compile ``program`` into an optimized executable tape.
+
+    ``window`` overrides the demanded-slot window ``[L, H)`` the analysis
+    would pick; the mutation harness uses it to build tapes narrowed past
+    what their outputs need, which the verifier must reject.
+    """
     t = params.plain_modulus
     n = params.slot_count
     half = t // 2
@@ -189,10 +287,13 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         residue = int(value) % t
         return residue - t if residue > half else residue
 
-    consts: List[np.ndarray] = []
-    const_bounds: List[int] = []
+    # Constants and load templates are recorded by slot and materialized
+    # once the demanded window is known, so no full-ring row is ever built.
+    raw_consts: List[Tuple[Optional[int], Tuple[int, ...]]] = []
     const_index: Dict[object, int] = {}
-    raw_loads: List[Tuple[np.ndarray, Tuple[Tuple[int, str], ...], int]] = []
+    raw_loads: List[
+        Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, str], ...]]
+    ] = []
     values: List[_Def] = []
     ref_of: Dict[int, Tuple[str, int]] = {}
     numbering: Dict[object, int] = {}
@@ -216,41 +317,33 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
                 ref_of[dst] = ("v", hit)
                 eliminated["dedup_loads"] += 1
                 continue
-            template = np.zeros(n, dtype=np.int64)
+            const_columns: List[Tuple[int, int]] = []
             var_columns: List[Tuple[int, str]] = []
-            const_bound = 0
             for column, slot in enumerate(instruction.layout):
                 if slot.constant is not None:
-                    value = centred(slot.constant)
-                    template[column] = value
-                    const_bound = max(const_bound, abs(value))
+                    const_columns.append((column, centred(slot.constant)))
                 else:
                     var_columns.append((column, slot.name))
-            raw_loads.append((template, tuple(var_columns), const_bound))
+            raw_loads.append((tuple(const_columns), tuple(var_columns)))
             ref_of[dst] = new_value(_Def("load", load=len(raw_loads) - 1), key)
         elif opcode is Opcode.LOAD_PLAIN:
             key = ("plain", instruction.name == "broadcast", instruction.values)
             index = const_index.get(key)
             if index is None:
+                index = len(raw_consts)
                 if instruction.name == "broadcast":
-                    value = centred(instruction.values[0])
-                    plain = np.full(n, value, dtype=np.int64)
-                    bound = abs(value)
+                    raw_consts.append((centred(instruction.values[0]), ()))
                 else:
-                    plain = np.zeros(n, dtype=np.int64)
-                    centred_values = [centred(v) for v in instruction.values]
-                    plain[: len(centred_values)] = centred_values
-                    bound = max((abs(v) for v in centred_values), default=0)
-                index = len(consts)
-                consts.append(plain)
-                const_bounds.append(bound)
+                    raw_consts.append(
+                        (None, tuple(centred(v) for v in instruction.values))
+                    )
                 const_index[key] = index
             else:
                 eliminated["dedup_consts"] += 1
             ref_of[dst] = ("c", index)
         elif opcode is Opcode.ROTATE:
             source = ref_of[instruction.operands[0]]
-            step = instruction.step % n
+            step = int(instruction.step) % n
             if step == 0:
                 ref_of[dst] = source
                 eliminated["aliases"] += 1
@@ -310,6 +403,81 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
                 stack.append(ref[1])
     eliminated["dead"] = sum(1 for flag in live if not flag)
     order = [vid for vid in range(len(values)) if live[vid]]
+
+    # -- demanded-slot narrowing (rotations are still standalone here) -------
+    if window is None:
+        window = _demanded_window(values, order, output_refs, n)
+    lo, hi = window
+    width = hi - lo
+    for vid in order:
+        defn = values[vid]
+        if defn.kind == "rot":
+            defn.step = _signed_step(defn.step, n) % width
+
+    # -- re-number over the window -------------------------------------------
+    # Values that agree on every window column are one value on this tape:
+    # constants and loads differing only outside the window merge, and so do
+    # rotations whose steps agree mod w and everything computed from them.
+    # The verifier's term domain identifies exactly these values, so the
+    # single-use test of the fusion passes below agrees with its own.
+    def window_column(slot: int) -> int:
+        column = (slot - lo) % n
+        return column if column < width else -1
+
+    const_rows: List[np.ndarray] = []
+    const_of: List[int] = []  # raw constant -> first raw constant with its row
+    first_row: Dict[bytes, int] = {}
+    for index, (broadcast, packed) in enumerate(raw_consts):
+        if broadcast is not None:
+            row = np.full(width, broadcast, dtype=np.int64)
+        else:
+            row = _window_row(enumerate(packed), lo, width, n)
+        const_rows.append(row)
+        const_of.append(first_row.setdefault(row.tobytes(), index))
+
+    input_names: Dict[str, None] = {}  # every input a live load reads
+    load_of: Dict[int, Tuple[np.ndarray, Tuple[Tuple[int, str], ...]]] = {}
+    merged: Dict[int, int] = {}
+    window_numbering: Dict[object, int] = {}
+
+    def canonical(ref: Optional[Tuple[str, int]]) -> Optional[Tuple[str, int]]:
+        if ref is None:
+            return None
+        if ref[0] == "c":
+            return ("c", const_of[ref[1]])
+        return ("v", merged.get(ref[1], ref[1]))
+
+    kept: List[int] = []
+    for vid in order:
+        defn = values[vid]
+        if defn.kind == "load":
+            const_columns, var_columns = raw_loads[defn.load]
+            input_names.update((name, None) for _, name in var_columns)
+            template = _window_row(const_columns, lo, width, n)
+            columns = tuple(
+                (window_column(slot), name)
+                for slot, name in var_columns
+                if window_column(slot) >= 0
+            )
+            load_of[vid] = (template, columns)
+            key: object = ("load", template.tobytes(), columns)
+        else:
+            defn.x, defn.y = canonical(defn.x), canonical(defn.y)
+            x, y = defn.x, defn.y
+            if defn.kind in ("add", "mul") and y < x:
+                x, y = y, x
+            key = (defn.kind, x, y, defn.step)
+        hit = window_numbering.setdefault(key, vid)
+        if hit == vid:
+            kept.append(vid)
+        else:
+            merged[vid] = hit
+            eliminated["cse"] += 1
+    order = kept
+    output_refs = [
+        (name, canonical(ref), length, register)
+        for name, ref, length, register in output_refs
+    ]
 
     # -- fusion passes -------------------------------------------------------
     output_vids = {ref[1] for _, ref, _, _ in output_refs if ref[0] == "v"}
@@ -464,8 +632,7 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         | {ref[1] for _, ref, _, _ in output_refs if ref[0] == "c"}
     )
     const_remap = {old: new for new, old in enumerate(used_consts)}
-    final_consts = [consts[old] for old in used_consts]
-    final_const_bounds = [const_bounds[old] for old in used_consts]
+    final_consts = [const_rows[old] for old in used_consts]
     n_consts = len(final_consts)
 
     def buffer_of(ref: Tuple[str, int]) -> int:
@@ -476,9 +643,9 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
     tape_loads = [
         TapeLoad(
             buffer=n_consts + slot_of[vid],
-            template=raw_loads[values[vid].load][0],
-            var_columns=raw_loads[values[vid].load][1],
-            const_bound=raw_loads[values[vid].load][2],
+            template=load_of[vid][0],
+            var_columns=load_of[vid][1],
+            const_bound=_row_bound(load_of[vid][0]),
         )
         for vid in load_vids
     ]
@@ -519,6 +686,7 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
             length=length,
             is_ciphertext=per_output[register][0],
             budget=per_output[register][1],
+            column=window_column(0),
         )
         for name, ref, length, register in output_refs
     ]
@@ -537,12 +705,16 @@ def compile_tape(program: CircuitProgram, params: BFVParameters) -> CompiledTape
         "fused_total": sum(fused.values()),
         "eliminated": {key: eliminated[key] for key in sorted(eliminated)},
         "arena_slots": slot_count,
+        "window": [lo, hi],
+        "width": width,
     }
     return CompiledTape(
         params=params,
         consts=final_consts,
-        const_bounds=final_const_bounds,
+        const_bounds=[_row_bound(row) for row in final_consts],
         slot_count=slot_count,
+        window=(lo, hi),
+        input_names=tuple(input_names),
         loads=tape_loads,
         ops=ops,
         outputs=outputs,

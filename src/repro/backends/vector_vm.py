@@ -3,8 +3,10 @@
 The circuit's SSA instruction list is first **backend-compiled** by
 :mod:`repro.backends.tapeopt` into an optimized executable tape
 (:class:`~repro.backends.tape.CompiledTape`): alias-free, superinstruction
-fused, liveness-colored onto a fixed register arena of ``(B, n)`` int64
-buffers, with all noise/latency accounting replayed once at compile time.
+fused, narrowed to the window of ``w`` slots its outputs actually depend on
+(rarely more than a few dozen of the ``n = 16384``), and liveness-colored
+onto a fixed register arena of ``(B, w)`` int64 buffers, with all
+noise/latency accounting replayed once at compile time.
 Executing a batch is then a single pass of in-place numpy ops over the
 arena — no ciphertext objects, no per-instruction ledger calls, and (at the
 default opt level) no Python dispatch either: a per-tape specializer emits

@@ -58,13 +58,14 @@ def _rotated(row, step, n):
 
 
 def _concrete_rows(tape, inputs):
-    """Materialize every buffer's initial row as exact Python ints."""
+    """Materialize every buffer's initial row (the tape's window) as exact
+    Python ints."""
     t, half = tape.t, tape.half
     rows = [
         [int(v) for v in np.asarray(const).reshape(-1)]
         for const in tape.consts
     ]
-    rows.extend([0] * tape.n for _ in range(tape.slot_count))
+    rows.extend([0] * tape.width for _ in range(tape.slot_count))
     for load in tape.loads:
         row = [int(v) for v in np.asarray(load.template).reshape(-1)]
         for column, name in load.var_columns:
@@ -79,7 +80,7 @@ def _max_abs(row) -> int:
 
 
 def _check_plan(tape, ops, bucket, inputs) -> None:
-    t, half, n = tape.t, tape.half, tape.n
+    t, half, n = tape.t, tape.half, tape.width
     rows = _concrete_rows(tape, inputs)
     for index, op, product_bound, result_bound in iter_op_bounds(
         tape, ops, bucket=bucket
