@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test benchmarks smoke lint analyze bench-smoke bench-backends bench-server bench-workloads bench-overload bench-ablation docs-check all
+.PHONY: test benchmarks smoke lint analyze perfbench bench-smoke bench-backends bench-server bench-workloads bench-overload bench-ablation docs-check all
 
 # Tier-1 test suite (tests/ + benchmarks/ collected from the repo root).
 test:
@@ -41,6 +41,13 @@ lint:
 # every registered workload (non-zero on any ERROR finding).
 analyze:
 	$(PYTHON) -m repro analyze
+
+# The benchmark BENCHMARK.json declares: each workload once at HEAD with
+# tracing off; the last line of each run is its JSON result.
+perfbench:
+	$(PYTHON) perfbench/run.py --workload compile-suite --trace 0
+	$(PYTHON) perfbench/run.py --workload serve-steady --trace 0
+	$(PYTHON) perfbench/run.py --workload serve-burst --trace 0
 
 # Fig. 5 execution-time series driven through the batched vector VM.
 bench-smoke:

@@ -900,8 +900,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"no metrics snapshot at {path} (has the server run?)", file=sys.stderr)
             return 1
         if not args.watch:
-            with open(path, "r", encoding="utf-8") as handle:
-                print(handle.read().rstrip())
+            snapshot = read_snapshot(path)
+            if snapshot is None:
+                print(f"unreadable metrics snapshot at {path}", file=sys.stderr)
+                return 1
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
             return 0
         previous = None
         updates = 0

@@ -587,7 +587,11 @@ def submit(
     target = _client(server, state_dir)
     if target is not None:
         return target.submit(job)
-    JobStore(state_dir).append(job)
+    store = JobStore(state_dir)
+    try:
+        store.append(job)
+    finally:
+        store.close()
     return job.id
 
 

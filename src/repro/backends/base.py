@@ -52,7 +52,12 @@ def backend_produces_outputs(backend: object) -> bool:
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """What every execution backend exposes."""
+    """What every execution backend exposes.
+
+    ``execute_many`` takes an optional ``fingerprint``: the caller's
+    :func:`program_fingerprint` of ``program``, passed along so a backend
+    that keys a cache on circuit content need not hash it again.
+    """
 
     name: str
     #: False for accounting-only backends whose reports carry no outputs.
@@ -71,6 +76,8 @@ class ExecutionBackend(Protocol):
         program: CircuitProgram,
         inputs_list: Sequence[Mapping[str, Value]],
         params: Optional[BFVParameters] = None,
+        *,
+        fingerprint: Optional[str] = None,
     ) -> List[ExecutionReport]: ...
 
 
@@ -98,6 +105,8 @@ class BaseBackend:
         program: CircuitProgram,
         inputs_list: Sequence[Mapping[str, Value]],
         params: Optional[BFVParameters] = None,
+        *,
+        fingerprint: Optional[str] = None,
     ) -> List[ExecutionReport]:
         reports = [self.execute(program, inputs, params=params) for inputs in inputs_list]
         for report in reports:

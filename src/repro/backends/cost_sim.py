@@ -111,6 +111,8 @@ class CostSimBackend(BaseBackend):
         program: CircuitProgram,
         inputs_list: Sequence[Mapping[str, Value]],
         params: Optional[BFVParameters] = None,
+        *,
+        fingerprint: Optional[str] = None,
     ) -> List[ExecutionReport]:
         if not inputs_list:
             return []

@@ -733,7 +733,11 @@ _counters = {"hits": 0, "misses": 0, "compiles": 0, "verified": 0, "findings": 0
 
 
 def get_compiled_tape(
-    program: CircuitProgram, params: BFVParameters, *, verify: bool = False
+    program: CircuitProgram,
+    params: BFVParameters,
+    *,
+    verify: bool = False,
+    fingerprint: Optional[str] = None,
 ) -> CompiledTape:
     """The compiled tape for ``(program, params)``, memoized process-wide.
 
@@ -748,8 +752,12 @@ def get_compiled_tape(
     :class:`TapeVerificationError` on any ERROR finding and folding the
     verified/finding counts into the memo counters (the server's telemetry
     sync turns those into ``analysis_findings``).
+
+    ``fingerprint`` is ``program_fingerprint(program)`` when the caller
+    already holds it (the server computes it once per circuit); None hashes
+    the circuit here.
     """
-    key = (program_fingerprint(program), params)
+    key = (fingerprint or program_fingerprint(program), params)
     with _cache_lock:
         tape = _cache.get(key)
         if tape is not None:
@@ -793,7 +801,11 @@ def reset_tape_cache() -> None:
 
 
 def scheduling_cost_ms(
-    program: CircuitProgram, params: BFVParameters, latency_model
+    program: CircuitProgram,
+    params: BFVParameters,
+    latency_model,
+    *,
+    fingerprint: Optional[str] = None,
 ) -> float:
     """Analytical latency refined by the compiled tape's fused op count.
 
@@ -803,7 +815,7 @@ def scheduling_cost_ms(
     :meth:`ExecutionService.static_cost_ms` when the backend exposes it.
     """
     model_ms = program.estimated_latency_ms(latency_model)
-    tape = get_compiled_tape(program, params)
+    tape = get_compiled_tape(program, params, fingerprint=fingerprint)
     before = int(tape.stats["compute_ops"])  # type: ignore[arg-type]
     if before <= 0:
         return model_ms

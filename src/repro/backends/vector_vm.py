@@ -106,6 +106,8 @@ class VectorVMBackend(BaseBackend):
         program: CircuitProgram,
         inputs_list: Sequence[Mapping[str, Value]],
         params: Optional[BFVParameters] = None,
+        *,
+        fingerprint: Optional[str] = None,
     ) -> List[ExecutionReport]:
         if not inputs_list:
             return []
@@ -113,7 +115,9 @@ class VectorVMBackend(BaseBackend):
             params = BFVParameters.default()
         if self.opt_level <= 0:
             return self._execute_legacy(program, inputs_list, params)
-        tape = get_compiled_tape(program, params, verify=self.verify)
+        tape = get_compiled_tape(
+            program, params, verify=self.verify, fingerprint=fingerprint
+        )
         return tape.execute_batch(
             inputs_list,
             specialize=self.opt_level >= 2,
@@ -125,6 +129,8 @@ class VectorVMBackend(BaseBackend):
         program: CircuitProgram,
         params: BFVParameters,
         latency_model,
+        *,
+        fingerprint: Optional[str] = None,
     ) -> float:
         """Analytical scheduling weight refined by the compiled tape.
 
@@ -135,7 +141,7 @@ class VectorVMBackend(BaseBackend):
         """
         if self.opt_level <= 0:
             return program.estimated_latency_ms(latency_model)
-        return scheduling_cost_ms(program, params, latency_model)
+        return scheduling_cost_ms(program, params, latency_model, fingerprint=fingerprint)
 
     # ------------------------------------------------------------------
     # opt level 0: the legacy per-instruction stacked-rows interpreter

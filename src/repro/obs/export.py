@@ -40,6 +40,7 @@ STAGE_ORDER = (
     "queue_wait",
     "admission",
     "poll_store",
+    "idle",
     "queue_drain",
     "coalesce",
     "schedule",

@@ -139,8 +139,8 @@ class JsonlSpanSink:
 
     Writes are buffered through the file object and flushed on
     :meth:`flush` / :meth:`close`; the server flushes whenever it writes a
-    metrics snapshot, so ``traces.jsonl`` trails the live buffer by at most
-    one tick batch.
+    metrics snapshot (at most once per ``poll_interval`` while serving), so
+    ``traces.jsonl`` trails the live buffer by at most that interval.
     """
 
     def __init__(self, path: str) -> None:

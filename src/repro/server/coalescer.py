@@ -71,15 +71,19 @@ class CoalescedGroup:
 
 
 def coalesce(
-    entries: Sequence[Tuple[Job, CircuitProgram, Sequence[Mapping[str, int]], str]],
+    entries: Sequence[Tuple[object, ...]],
     *,
     tracer: Optional[Tracer] = None,
 ) -> List[CoalescedGroup]:
-    """Group ``(job, circuit, inputs, backend_key)`` entries into batches.
+    """Group ``(job, circuit, inputs, backend_key[, fingerprint])`` entries
+    into batches.
 
     Entries arrive in scheduling (priority) order and groups come back
     ordered by their first member, so coalescing never reorders work across
     priorities — it only merges equal circuits that would have run anyway.
+    An entry's optional fifth element is the circuit's already-computed
+    :func:`~repro.backends.base.program_fingerprint` (the server's circuit
+    memo holds one per circuit); entries without it are hashed here.
 
     With a ``tracer`` the grouping work (fingerprint hashing included — that
     is the cost coalescing amortizes) is recorded as one ``coalesce`` stage
@@ -92,8 +96,8 @@ def coalesce(
         #: Jobs sharing a circuit usually share the object too (the server's
         #: circuit memo), so hash each distinct object once per call.
         fingerprints: Dict[int, str] = {}
-        for job, program, inputs, backend_key in entries:
-            fingerprint = fingerprints.get(id(program))
+        for job, program, inputs, backend_key, *known in entries:
+            fingerprint = (known[0] if known else None) or fingerprints.get(id(program))
             if fingerprint is None:
                 fingerprint = fingerprints[id(program)] = program_fingerprint(program)
             key = (fingerprint, backend_key)

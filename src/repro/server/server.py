@@ -20,10 +20,15 @@ polls); the scheduling loop then runs a *two-level* schedule per tick:
 
 Every state transition is appended to the
 :class:`~repro.server.store.JobStore` (restart-safe: ``queued`` jobs are
-re-enqueued, jobs caught ``running`` by a crash are retried), and a
+re-enqueued, jobs caught ``running`` by a crash are retried).  A job costs
+two ``fsync`` calls: one for its submit record, and the one that commits
+its tick's transitions (shared by every job of that tick).  A
 :class:`~repro.server.telemetry.MetricsRegistry` tracks counters, queue
 depth and latency histograms, snapshotted to ``metrics.json`` under the
-state directory.
+state directory: while serving, at most once per ``poll_interval`` (the
+span sink is flushed with each snapshot), and exactly once more when the
+loop stops, so the file is exact after :meth:`JobServer.stop`,
+:meth:`JobServer.drain` and :meth:`JobServer.close`.
 
 The server is overload-hardened: the queue can be bounded (total and
 per-priority), overflowing or over-budget arrivals are *shed* into a
@@ -45,7 +50,7 @@ import traceback
 from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.backends.base import backend_produces_outputs
+from repro.backends.base import backend_produces_outputs, program_fingerprint
 from repro.backends.registry import default_backend_name
 from repro.compiler.executor import declared_outputs, reference_output
 from repro.compiler.registry import CompilerSpec
@@ -74,9 +79,9 @@ from repro.service.service import CompilationService
 __all__ = ["JobServer"]
 
 #: How long a cached per-circuit service estimate stays fresh.  Admission
-#: control consults the estimate on every submit; recomputing the circuit
-#: fingerprint each time costs more than the submit itself under overload,
-#: and EWMA drift over a fraction of a second is noise at that decision.
+#: control consults the estimate on every submit; re-estimating each time
+#: costs a noticeable share of the submit itself under overload, and EWMA
+#: drift over a fraction of a second is noise at that decision.
 ESTIMATE_TTL_S = 0.25
 
 
@@ -145,13 +150,13 @@ class JobServer:
     tracing:
         Enable end-to-end tracing: every lifecycle stage (``submit``,
         ``admission``, ``persist``, ``queue_wait``, ``poll_store``,
-        ``queue_drain``, ``coalesce``, ``schedule``, ``backend_compile``,
-        ``execute``, ``commit_result``) emits spans into a bounded ring
-        buffer, persisted to ``traces.jsonl`` under the state directory
-        when one exists, plus per-job mirror spans forming one connected
-        trace per submission.  Off by default (the disabled tracer's hot
-        path is a no-op); the ``tracing`` studies component measures the
-        residual overhead.
+        ``idle``, ``queue_drain``, ``coalesce``, ``schedule``,
+        ``backend_compile``, ``execute``, ``commit_result``) emits spans
+        into a bounded ring buffer, persisted to ``traces.jsonl`` under the
+        state directory when one exists, plus per-job mirror spans forming
+        one connected trace per submission.  Off by default (the disabled
+        tracer's hot path is a no-op); the ``tracing`` studies component
+        measures the residual overhead.
     tracer:
         Inject a pre-built :class:`~repro.obs.trace.Tracer` (tests drive
         fake clocks through it; benchmarks read its ring buffer directly).
@@ -237,10 +242,10 @@ class JobServer:
         self._jobs: Dict[str, Job] = {}  # guarded-by: _lock
         self._lock = threading.RLock()
         self._job_done = threading.Condition(self._lock)
-        #: (compiler key, source) -> (circuit, expr, input names).  The hot
-        #: serving path: N queued users of one kernel must not pay N parses
-        #: and N cache-key hashes before coalescing even starts.
-        self._circuit_memo: "OrderedDict[Tuple[str, Tuple[Tuple[str, object], ...], str], Tuple[object, Expr, List[str]]]" = OrderedDict()  # guarded-by: _lock
+        #: (compiler key, source) -> (circuit, expr, input names, circuit
+        #: fingerprint).  The hot serving path: N queued users of one kernel
+        #: must not pay N parses, N cache-key hashes or N circuit hashes.
+        self._circuit_memo: "OrderedDict[Tuple[str, Tuple[Tuple[str, object], ...], str], Tuple[object, Expr, List[str], str]]" = OrderedDict()  # guarded-by: _lock
         self._circuit_memo_cap = 4096
         self._compile_services: Dict[Tuple[str, Tuple[Tuple[str, object], ...]], CompilationService] = {}
         self._execution_services: Dict[str, ExecutionService] = {}  # guarded-by: _lock
@@ -403,6 +408,7 @@ class JobServer:
         cold server admits its warm-up traffic).
         """
         program = job.program
+        fingerprint = None
         backend = job.backend or self.default_backend
         cache_key = None
         if program is None and job.source is not None:
@@ -418,11 +424,11 @@ class JobServer:
             if cached is not None and time.monotonic() - cached[1] < ESTIMATE_TTL_S:
                 return cached[0]
             if hit is not None:
-                program = hit[0]
+                program, fingerprint = hit[0], hit[3]
         if program is not None:
             try:
                 service = self._execution_service(backend)
-                estimate_ms, _ = service.estimate_ms(program)
+                estimate_ms, _ = service.estimate_ms(program, fingerprint)
             except Exception:
                 pass  # unknown backend etc.: the job will fail later anyway
             else:
@@ -556,13 +562,29 @@ class JobServer:
         return self
 
     def _serve_loop(self) -> None:
+        """Tick until :meth:`stop`, snapshotting at most once per
+        ``poll_interval``; the exit path writes a final, exact snapshot."""
+        last_write = float("-inf")
+        dirty = False
         while not self._stop_event.is_set():
-            processed = self.tick(timeout=self.poll_interval)
-            if processed and self.store.persistent:
-                self.telemetry.write_snapshot(self.store.metrics_path)
+            dirty = bool(self.tick(timeout=self.poll_interval)) or dirty
+            now = time.monotonic()
+            if dirty and now - last_write >= self.poll_interval:
+                self._write_snapshot()
+                last_write, dirty = now, False
+        self._write_snapshot()
+
+    def _write_snapshot(self) -> None:
+        """Persist ``metrics.json`` and flush the span sink with it, so
+        ``traces.jsonl`` keeps pace with the snapshot."""
+        if self.store.persistent:
+            self.telemetry.write_snapshot(self.store.metrics_path)
+        if self.tracer.enabled:
+            self.tracer.flush()
 
     def stop(self) -> None:
-        """Stop the background loop (processing finishes the current tick)."""
+        """Stop the background loop (processing finishes the current tick,
+        then the loop writes its final snapshot)."""
         thread = self._thread
         if thread is None:
             return
@@ -572,7 +594,7 @@ class JobServer:
             self._thread = None
 
     def close(self) -> None:
-        """Stop, write a final metrics snapshot and compact the store."""
+        """Stop, write a final metrics snapshot, compact and close the store."""
         self.stop()
         if self.store.persistent:
             self._poll_store()  # don't compact away a just-submitted job
@@ -580,6 +602,7 @@ class JobServer:
             with self._lock:
                 jobs = sorted(self._jobs.values(), key=lambda job: job.submitted_at)
             self.store.compact(jobs)
+        self.store.close()
         if self._own_tracer:
             self.tracer.close()  # flushes the span sink
         elif self.tracer.enabled:
@@ -603,10 +626,7 @@ class JobServer:
             # finished nothing.
             if advanced == 0 and len(self.queue) == 0:
                 break
-        if self.store.persistent:
-            self.telemetry.write_snapshot(self.store.metrics_path)
-        if self.tracer.enabled:
-            self.tracer.flush()
+        self._write_snapshot()
         return processed
 
     # -- one scheduling round ----------------------------------------------
@@ -623,14 +643,16 @@ class JobServer:
         self._poll_store()
         t1_wall = self.tracer.wall() if enabled else 0.0
         pending = self.queue.pop_batch(timeout=timeout)
+        t2_wall = self.tracer.wall() if enabled else 0.0
         self._update_queue_depth()
         if not pending:
             return 0
         tick_span = None
         if enabled:
             # The envelope is opened retroactively (empty ticks must not
-            # clutter the trace) and covers the store poll and queue drain
-            # that already happened; stage spans below nest inside it.
+            # clutter the trace) and covers the store poll, the idle wait
+            # and the queue drain that already happened; stage spans below
+            # nest inside it.
             tick_span = self.tracer.span(
                 "tick",
                 trace_id=self.trace_id,
@@ -643,6 +665,12 @@ class JobServer:
             tick_span.__enter__()
             self.tracer.record(
                 "poll_store", t0_wall, t1_wall,
+                trace_id=self.trace_id, parent_id=tick_span.span_id, cat="stage",
+            )
+            # pop_batch's blocking wait for the first job is idle time, not
+            # queue work: it gets its own stage so queue_drain stays truthful.
+            self.tracer.record(
+                "idle", t1_wall, t2_wall,
                 trace_id=self.trace_id, parent_id=tick_span.span_id, cat="stage",
             )
         self.telemetry.gauge("jobs_running").set(len(pending))
@@ -673,7 +701,7 @@ class JobServer:
             # queue_drain closes after the mark-running loop: draining the
             # queue and stamping/persist-staging the batch is one stage.
             self.tracer.record(
-                "queue_drain", t1_wall, self.tracer.wall(),
+                "queue_drain", t2_wall, self.tracer.wall(),
                 trace_id=self.trace_id, parent_id=tick_span.span_id, cat="stage",
                 attrs={"jobs": len(pending)},
             )
@@ -748,16 +776,21 @@ class JobServer:
             self._compile_services[key] = service
         return service
 
-    def _compiled_circuit(self, job: Job) -> Tuple[object, Optional[Expr], List[str]]:
-        """``(circuit, source expression, input names)``, compiling if needed.
+    def _compiled_circuit(
+        self, job: Job
+    ) -> Tuple[object, Optional[Expr], List[str], Optional[str]]:
+        """``(circuit, source expression, input names, fingerprint)``,
+        compiling if needed.
 
         Memoized on ``(compiler configuration, source text)`` so a flood of
-        jobs for one kernel pays parsing/compile-cache hashing once; the
-        shared circuit *object* also lets the coalescer fingerprint each
-        distinct circuit once per tick.
+        jobs for one kernel pays parsing, compile-cache hashing and the
+        circuit's content fingerprint once; the fingerprint then rides along
+        through coalescing, scheduling and the tape memo.  Pre-lowered
+        circuits carry no fingerprint (None): the coalescer hashes each
+        distinct one once per tick.
         """
         if job.program is not None:
-            return job.program, None, list(job.program.scalar_inputs)
+            return job.program, None, list(job.program.scalar_inputs), None
         memo_key = (
             job.compiler or self.default_compiler,
             tuple(sorted(job.compiler_options.items())),
@@ -775,7 +808,12 @@ class JobServer:
         report = self._compile_service(job).compile_expression(
             expr, name=job.name or "circuit"
         )
-        entry = (report.circuit, expr, list(variables(expr)))
+        entry = (
+            report.circuit,
+            expr,
+            list(variables(expr)),
+            program_fingerprint(report.circuit),
+        )
         if self.memoize_circuits:
             with self._lock:
                 self._circuit_memo[memo_key] = entry
@@ -841,14 +879,14 @@ class JobServer:
         with self.tracer.span("backend_compile", attrs={"jobs": len(jobs)}):
             for job in jobs:
                 try:
-                    program, expr, names = self._compiled_circuit(job)
+                    program, expr, names, fingerprint = self._compiled_circuit(job)
                     inputs = self._job_inputs(job, names)
                     backend_name = job.backend or self.default_backend
                     # Resolving the service now surfaces unknown-backend errors
                     # per job instead of failing the whole group later.
                     self._execution_service(backend_name)
                     expressions[job.id] = expr
-                    entries.append((job, program, inputs, backend_name))
+                    entries.append((job, program, inputs, backend_name, fingerprint))
                 except Exception as error:
                     terminal += self._handle_failure(job, error, sink)
 
@@ -882,6 +920,7 @@ class JobServer:
                     program=group.program,
                     inputs=group.batched_inputs,
                     name=group.jobs[0].label(),
+                    fingerprint=group.fingerprint,
                 )
                 for group in backend_groups
             ]

@@ -34,7 +34,9 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import weakref
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.server.faults import InjectedFault
@@ -82,6 +84,12 @@ class JobStore:
         #: server mirrors this into the ``store_skipped_records`` counter.
         self.skipped_records = 0
         self._lock = threading.Lock()
+        #: Descriptor of the sidecar lock file, opened (and the state
+        #: directory created) by the first write and held until
+        #: :meth:`close`; ``_lock_release`` closes it, and runs on its own if
+        #: the store is dropped unclosed.
+        self._lock_fd: Optional[int] = None  # guarded-by: _lock
+        self._lock_release: Optional[weakref.finalize] = None  # guarded-by: _lock
         #: Log byte offset up to which :meth:`poll` has already read.
         self._offset = 0
         #: Identity ``(st_dev, st_ino, compaction generation)`` of the log
@@ -132,19 +140,40 @@ class JobStore:
         except (OSError, ValueError):
             return 0
 
-    def _locked_file(self):
-        """An exclusively flocked handle on the sidecar lock file.
+    @contextmanager
+    def _file_lock(self) -> Iterator[None]:  # holds: _lock
+        """Hold an exclusive ``flock`` on the sidecar lock file.
 
         Appends and :meth:`compact` both serialize on this *separate* lock
         file rather than on ``jobs.jsonl`` itself: compaction atomically
         replaces the log's inode, so a writer flocking the log could hold a
-        lock on an orphaned inode and silently lose its record.
+        lock on an orphaned inode and silently lose its record.  The lock
+        file is never replaced, so its handle is opened once and kept.
         """
-        os.makedirs(self.state_dir, exist_ok=True)
-        handle = open(os.path.join(self.state_dir, LOCK_NAME), "a")
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        return handle
+        if self._lock_fd is None:
+            os.makedirs(self.state_dir, exist_ok=True)
+            self._lock_fd = os.open(
+                os.path.join(self.state_dir, LOCK_NAME),
+                os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                0o666,
+            )
+            self._lock_release = weakref.finalize(self, os.close, self._lock_fd)
+        if fcntl is None:
+            yield
+            return
+        fcntl.flock(self._lock_fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+
+    def close(self) -> None:
+        """Close the held lock file (a later write reopens it)."""
+        with self._lock:
+            if self._lock_release is not None:
+                self._lock_release()
+                self._lock_release = None
+                self._lock_fd = None
 
     # -- writing ------------------------------------------------------------
     def append(self, job: Job) -> None:
@@ -175,44 +204,39 @@ class JobStore:
                     self._offset += len(lines)
                 self._memory.extend(json.loads(line) for line in lines)
                 return
-            lock_handle = self._locked_file()
-            try:
+            with self._file_lock():
                 fault = self.faults.fire("store.append") if self.faults is not None else None
                 if fault is not None and fault.payload == "corrupt":
                     # Bit rot at write time: scramble the first record's
                     # bytes but keep the newline framing and keep going —
                     # the record must be *skipped* on replay, not crash it.
                     lines[0] = lines[0][: max(1, len(lines[0]) // 2)] + "#corrupt#"
-                payload = "".join(line + "\n" for line in lines)
-                pre_size = (
-                    os.path.getsize(self.log_path)
-                    if os.path.exists(self.log_path)
-                    else 0
-                )
-                if pre_size:
-                    # Seal a torn tail (a previous writer crashed mid-record)
-                    # with its own newline, so our records start on a fresh
-                    # line instead of concatenating into the garbage.
-                    with open(self.log_path, "rb") as check:
-                        check.seek(pre_size - 1)
-                        if check.read(1) != b"\n":
-                            payload = "\n" + payload
-                if fault is not None and fault.payload == "torn":
-                    # Crash mid-write: the batch's final record is cut in
-                    # half and never gets its newline, then the "process"
-                    # dies before returning.
-                    data = payload.encode("utf-8")
-                    cut = len(data) - (len(lines[-1].encode("utf-8")) // 2 + 1)
-                    with open(self.log_path, "ab") as handle:
+                data = "".join(line + "\n" for line in lines).encode("utf-8")
+                # One read+append handle serves the tail check and the write;
+                # the flock keeps compaction from replacing the inode between.
+                with open(self.log_path, "a+b") as handle:
+                    stat = os.fstat(handle.fileno())
+                    pre_size = stat.st_size
+                    if pre_size:
+                        # Seal a torn tail (a previous writer crashed
+                        # mid-record) with its own newline, so our records
+                        # start on a fresh line instead of concatenating
+                        # into the garbage.
+                        handle.seek(pre_size - 1)
+                        if handle.read(1) != b"\n":
+                            data = b"\n" + data
+                    if fault is not None and fault.payload == "torn":
+                        # Crash mid-write: the batch's final record is cut
+                        # in half and never gets its newline, then the
+                        # "process" dies before returning.
+                        cut = len(data) - (len(lines[-1].encode("utf-8")) // 2 + 1)
                         handle.write(data[: max(1, cut)])
                         handle.flush()
                         os.fsync(handle.fileno())
-                    raise InjectedFault("simulated crash mid-append (torn record)")
-                with open(self.log_path, "a", encoding="utf-8") as handle:
-                    handle.write(payload)
+                        raise InjectedFault("simulated crash mid-append (torn record)")
+                    handle.write(data)
                     handle.flush()
                     os.fsync(handle.fileno())
-                    stat = os.fstat(handle.fileno())
                 ident = (stat.st_dev, stat.st_ino, self._read_generation())
                 if self._log_ident is None or ident == self._log_ident:
                     if self._offset == pre_size:
@@ -220,15 +244,11 @@ class JobStore:
                         # fast-forward the poll offset past them so the
                         # serving loop doesn't re-scan its own appends
                         # forever.
-                        self._offset = pre_size + len(payload.encode("utf-8"))
+                        self._offset = pre_size + len(data)
                     self._log_ident = ident
                 # else: another process compacted (replaced) the log since we
                 # last read it; keep the stale identity so the next poll
                 # notices the mismatch and re-reads from the start.
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
-                lock_handle.close()
 
     # -- reading ------------------------------------------------------------
     def _read_records(
@@ -336,8 +356,7 @@ class JobStore:
                 self._memory = records
                 self._offset = len(records)
                 return
-            lock_handle = self._locked_file()
-            try:
+            with self._file_lock():
                 tmp_path = self.log_path + ".tmp"
                 with open(tmp_path, "w", encoding="utf-8") as handle:
                     for record in records:
@@ -358,7 +377,3 @@ class JobStore:
                 stat = os.stat(self.log_path)
                 self._offset = stat.st_size
                 self._log_ident = (stat.st_dev, stat.st_ino, generation)
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
-                lock_handle.close()

@@ -523,24 +523,24 @@ class MetricsRegistry:
 
         Each write bumps the snapshot sequence number first, so every
         persisted snapshot carries a strictly increasing ``meta.sequence``
-        within this registry's lifetime.
+        within this registry's lifetime.  The payload is encoded in one
+        compact ``json.dumps`` call (the C encoder; ``indent`` would force
+        the pure-Python one) and written to the temp file in one call.
         """
         with self._lock:
             self._sequence += 1
         payload = self.snapshot()
+        data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=directory, suffix=".tmp", delete=False, encoding="utf-8"
-        )
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(handle.name, path)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp_path, path)
         except BaseException:
             try:
-                os.unlink(handle.name)
+                os.unlink(tmp_path)
             except OSError:
                 pass
             raise

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.backends.base import program_fingerprint
@@ -44,6 +44,9 @@ class ExecutionJob:
     program: CircuitProgram
     inputs: Sequence[Mapping[str, Value]]
     name: Optional[str] = None
+    #: ``program_fingerprint(program)`` when the caller already holds it;
+    #: None hashes the circuit once per :meth:`ExecutionService.run_jobs`.
+    fingerprint: Optional[str] = None
 
     def label(self) -> str:
         return self.name or self.program.name
@@ -175,19 +178,23 @@ class ExecutionService:
         self._calibration: Optional[float] = None  # guarded-by: _measured_lock
 
     # -- cache keys ---------------------------------------------------------
-    def job_key(self, program: CircuitProgram) -> str:
+    def job_key(self, program: CircuitProgram, fingerprint: Optional[str] = None) -> str:
         """Measured-time key: backend ``describe()`` + circuit content hash.
 
         The backend spec's version-stamped description keys the execution
         side exactly the way compiler ``describe()`` strings key the
         compilation cache: timings never leak across backends, backend
-        configurations or package versions.
+        configurations or package versions.  Every method taking a
+        ``fingerprint`` accepts ``program_fingerprint(program)`` from a
+        caller that already holds it; None hashes the circuit.
         """
         prefix = self.spec.describe() if self.spec is not None else self.backend_name
-        return f"{prefix}::{program_fingerprint(program)}"
+        return f"{prefix}::{fingerprint or program_fingerprint(program)}"
 
     # -- estimates ----------------------------------------------------------
-    def static_cost_ms(self, program: CircuitProgram) -> float:
+    def static_cost_ms(
+        self, program: CircuitProgram, fingerprint: Optional[str] = None
+    ) -> float:
         """Analytical scheduling cost of one input set, in milliseconds.
 
         Backends that run something other than the raw instruction list can
@@ -199,10 +206,12 @@ class ExecutionService:
         """
         hook = getattr(self.backend, "scheduling_cost_ms", None)
         if hook is not None:
-            return hook(program, self.params, self._latency_model)
+            return hook(program, self.params, self._latency_model, fingerprint=fingerprint)
         return program.estimated_latency_ms(self._latency_model)
 
-    def estimate_ms(self, program: CircuitProgram) -> Tuple[float, str]:
+    def estimate_ms(
+        self, program: CircuitProgram, fingerprint: Optional[str] = None
+    ) -> Tuple[float, str]:
         """Scheduling weight for one input set: ``(milliseconds, source)``.
 
         Prefers the recorded timer for circuits that have executed before;
@@ -212,28 +221,38 @@ class ExecutionService:
         unconditionally.
         """
         if not self.prefer_measured:
-            return self.static_cost_ms(program), "model"
-        key = self.job_key(program)
+            return self.static_cost_ms(program, fingerprint), "model"
+        fingerprint = fingerprint or program_fingerprint(program)
+        key = self.job_key(program, fingerprint)
         with self._measured_lock:
             measured = self._measured.get(key)
             if measured is not None:
                 self._measured.move_to_end(key)  # LRU touch
                 return measured * 1000.0, "measured"
             calibration = self._calibration
-        model_ms = self.static_cost_ms(program)
+        model_ms = self.static_cost_ms(program, fingerprint)
         if calibration is not None:
             return model_ms * calibration, "model"
         return model_ms, "model"
 
     def record_measurement(
-        self, program: CircuitProgram, wall_time_s: float, batch_size: int
+        self,
+        program: CircuitProgram,
+        wall_time_s: float,
+        batch_size: int,
+        fingerprint: Optional[str] = None,
     ) -> None:
         """Fold a measured execution time into the scheduling state."""
         if batch_size <= 0:
             return
         per_item = wall_time_s / batch_size
-        key = self.job_key(program)
-        model_ms = self.static_cost_ms(program)
+        fingerprint = fingerprint or program_fingerprint(program)
+        key = self.job_key(program, fingerprint)
+        with self._measured_lock:
+            first = key not in self._measured
+        # Only a first measurement feeds the calibration, so only it needs
+        # the model (priced outside the lock: it may compile a tape).
+        model_ms = self.static_cost_ms(program, fingerprint) if first else 0.0
         with self._measured_lock:
             previous = self._measured.get(key)
             if previous is None:
@@ -280,10 +299,15 @@ class ExecutionService:
         self, program: CircuitProgram, inputs_list: Sequence[Mapping[str, Value]]
     ) -> List[ExecutionReport]:
         """Execute a batch of input sets, recording the measured time."""
+        fingerprint = program_fingerprint(program)
         start = time.perf_counter()
-        reports = self.backend.execute_many(program, list(inputs_list), params=self.params)
+        reports = self.backend.execute_many(
+            program, list(inputs_list), params=self.params, fingerprint=fingerprint
+        )
         if reports:
-            self.record_measurement(program, time.perf_counter() - start, len(reports))
+            self.record_measurement(
+                program, time.perf_counter() - start, len(reports), fingerprint
+            )
         return reports
 
     def run_jobs(
@@ -311,7 +335,7 @@ class ExecutionService:
             batch.reports = [[] for _ in normalized]
             weights: List[float] = []
             for job in normalized:
-                estimate, source = self.estimate_ms(job.program)
+                estimate, source = self.estimate_ms(job.program, job.fingerprint)
                 weight = estimate * max(len(job.inputs), 1)
                 weights.append(weight)
                 batch.records.append(
@@ -344,11 +368,14 @@ class ExecutionService:
                 ):
                     job_start = time.perf_counter()
                     reports = self.backend.execute_many(
-                        job.program, list(job.inputs), params=self.params
+                        job.program,
+                        list(job.inputs),
+                        params=self.params,
+                        fingerprint=job.fingerprint,
                     )
                     wall = time.perf_counter() - job_start
                 if reports:
-                    self.record_measurement(job.program, wall, len(reports))
+                    self.record_measurement(job.program, wall, len(reports), job.fingerprint)
                 batch.reports[index] = reports
                 batch.records[index].wall_time_s = wall
                 batch.records[index].worker = plan.worker
@@ -370,7 +397,10 @@ class ExecutionService:
     def _normalize_job(
         job: Union[ExecutionJob, Tuple[CircuitProgram, Sequence[Mapping[str, Value]]]]
     ) -> ExecutionJob:
-        if isinstance(job, ExecutionJob):
-            return job
-        program, inputs = job
-        return ExecutionJob(program=program, inputs=list(inputs))
+        """An :class:`ExecutionJob` with its circuit fingerprint resolved."""
+        if not isinstance(job, ExecutionJob):
+            program, inputs = job
+            job = ExecutionJob(program=program, inputs=list(inputs))
+        if job.fingerprint is None:
+            job = replace(job, fingerprint=program_fingerprint(job.program))
+        return job

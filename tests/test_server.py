@@ -15,7 +15,11 @@ changes that ride along: the bounded LRU measured-time table of
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -49,6 +53,19 @@ from repro.service import ExecutionJob, ExecutionService
 
 PARAMS = BFVParameters.default(1024)
 SOURCE = "(* (+ a b) (+ c d))"
+#: A second process: replay the store, announce a new job id, then compact
+#: the log to the replayed jobs plus that one (argv: src dir, state dir).
+COMPACTOR = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from repro.server.jobs import Job
+from repro.server.store import JobStore
+store = JobStore(sys.argv[2])
+jobs = list(store.replay().values())
+foreign = Job(source="(+ a b)")
+print(foreign.id, flush=True)
+store.compact(jobs + [foreign])
+"""
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +315,34 @@ class TestJobStore:
         writer.append(own)  # lands on the replaced log
         polled = {item.id for item in writer.poll()}
         assert foreign.id in polled  # the compacted-in job is still seen
+
+    def test_held_lock_handle_serializes_with_foreign_compaction(self, tmp_path):
+        """The store keeps its sidecar lock file open between writes: another
+        process's compaction still waits for our flock, and our next append
+        lands in the log that compaction installed, not an orphaned inode."""
+        pytest.importorskip("fcntl")
+        store = JobStore(str(tmp_path))
+        first = Job(source=SOURCE)
+        store.append(first)  # opens the lock handle and keeps it
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        with store._lock, store._file_lock():
+            compactor = subprocess.Popen(
+                [sys.executable, "-c", COMPACTOR, src, str(tmp_path)],
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            foreign_id = compactor.stdout.readline().strip()
+            time.sleep(0.2)
+            assert compactor.poll() is None  # blocked on our flock
+        assert compactor.wait(timeout=60) == 0
+        compactor.stdout.close()
+        own = Job(source=SOURCE)
+        store.append(own)
+        with open(store.log_path, encoding="utf-8") as handle:
+            logged = [json.loads(line)["id"] for line in handle if line.strip()]
+        assert logged == [first.id, foreign_id, own.id]
+        assert foreign_id in {job.id for job in store.poll()}
+        store.close()
 
     def test_read_only_access_does_not_create_state_dir(self, tmp_path):
         missing = tmp_path / "never-written"
