@@ -5,6 +5,12 @@ and GRU encoders and the PPO loss are implemented, but each is implemented
 with full broadcasting support so the layers read like their PyTorch
 counterparts.  Gradients are accumulated in ``Tensor.grad`` by calling
 ``backward()`` on a scalar loss.
+
+Invariant: an op's backward closure receives the upstream gradient as its
+argument and never captures its own output tensor (ops that need the
+forward result capture the result array instead).  A graph therefore holds
+no reference cycle and is freed by reference counting as soon as its root
+is dropped, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._prev: Tuple[Tensor, ...] = _prev
 
     # -- basic properties -------------------------------------------------------
@@ -93,9 +99,9 @@ class Tensor:
         other = self._wrap(other)
         out = self._make(self.data + other.data, (self, other))
 
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad, other.data.shape))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(_unbroadcast(grad, self.data.shape))
+            other._accumulate(_unbroadcast(grad, other.data.shape))
 
         out._backward = _backward
         return out
@@ -105,8 +111,8 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         out = self._make(-self.data, (self,))
 
-        def _backward() -> None:
-            self._accumulate(-out.grad)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(-grad)
 
         out._backward = _backward
         return out
@@ -121,9 +127,9 @@ class Tensor:
         other = self._wrap(other)
         out = self._make(self.data * other.data, (self, other))
 
-        def _backward() -> None:
-            self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
         out._backward = _backward
         return out
@@ -140,8 +146,8 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         out = self._make(self.data ** exponent, (self,))
 
-        def _backward() -> None:
-            self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
         out._backward = _backward
         return out
@@ -150,8 +156,7 @@ class Tensor:
         other = self._wrap(other)
         out = self._make(self.data @ other.data, (self, other))
 
-        def _backward() -> None:
-            grad = out.grad
+        def _backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 self_grad = grad @ np.swapaxes(other.data, -1, -2)
                 self._accumulate(_unbroadcast(self_grad, self.data.shape))
@@ -167,9 +172,10 @@ class Tensor:
     # -- elementwise non-linearities ----------------------------------------------------
     def exp(self) -> "Tensor":
         out = self._make(np.exp(self.data), (self,))
+        result = out.data
 
-        def _backward() -> None:
-            self._accumulate(out.grad * out.data)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * result)
 
         out._backward = _backward
         return out
@@ -177,26 +183,28 @@ class Tensor:
     def log(self) -> "Tensor":
         out = self._make(np.log(self.data), (self,))
 
-        def _backward() -> None:
-            self._accumulate(out.grad / self.data)
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad / self.data)
 
         out._backward = _backward
         return out
 
     def tanh(self) -> "Tensor":
         out = self._make(np.tanh(self.data), (self,))
+        result = out.data
 
-        def _backward() -> None:
-            self._accumulate(out.grad * (1.0 - out.data ** 2))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * (1.0 - result ** 2))
 
         out._backward = _backward
         return out
 
     def sigmoid(self) -> "Tensor":
         out = self._make(1.0 / (1.0 + np.exp(-self.data)), (self,))
+        result = out.data
 
-        def _backward() -> None:
-            self._accumulate(out.grad * out.data * (1.0 - out.data))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * result * (1.0 - result))
 
         out._backward = _backward
         return out
@@ -204,8 +212,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = self._make(np.maximum(self.data, 0.0), (self,))
 
-        def _backward() -> None:
-            self._accumulate(out.grad * (self.data > 0.0))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad * (self.data > 0.0))
 
         out._backward = _backward
         return out
@@ -217,8 +225,7 @@ class Tensor:
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def _backward() -> None:
-            grad = out.grad
+        def _backward(grad: np.ndarray) -> None:
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
             self._accumulate(np.broadcast_to(grad, self.data.shape).copy())
@@ -234,8 +241,7 @@ class Tensor:
         out_data = self.data.max(axis=axis, keepdims=keepdims)
         out = self._make(out_data, (self,))
 
-        def _backward() -> None:
-            grad = out.grad
+        def _backward(grad: np.ndarray) -> None:
             expanded = grad if keepdims else np.expand_dims(grad, axis=axis)
             max_expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
             mask = self.data == max_expanded
@@ -249,8 +255,8 @@ class Tensor:
     def reshape(self, *shape: int) -> "Tensor":
         out = self._make(self.data.reshape(shape), (self,))
 
-        def _backward() -> None:
-            self._accumulate(out.grad.reshape(self.data.shape))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.reshape(self.data.shape))
 
         out._backward = _backward
         return out
@@ -260,8 +266,8 @@ class Tensor:
         out = self._make(self.data.transpose(axes), (self,))
         inverse = np.argsort(axes)
 
-        def _backward() -> None:
-            self._accumulate(out.grad.transpose(inverse))
+        def _backward(grad: np.ndarray) -> None:
+            self._accumulate(grad.transpose(inverse))
 
         out._backward = _backward
         return out
@@ -269,10 +275,10 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out = self._make(self.data[index], (self,))
 
-        def _backward() -> None:
-            grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
-            self._accumulate(grad)
+        def _backward(grad: np.ndarray) -> None:
+            full = np.zeros_like(self.data)
+            np.add.at(full, index, grad)
+            self._accumulate(full)
 
         out._backward = _backward
         return out
@@ -284,13 +290,13 @@ class Tensor:
         requires_grad = any(t.requires_grad for t in tensors)
         out = Tensor(data, requires_grad=requires_grad, _prev=tuple(tensors) if requires_grad else ())
 
-        def _backward() -> None:
+        def _backward(grad: np.ndarray) -> None:
             sizes = [t.data.shape[axis] for t in tensors]
             offsets = np.cumsum([0] + sizes)
             for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                slicer = [slice(None)] * out.grad.ndim
+                slicer = [slice(None)] * grad.ndim
                 slicer[axis] = slice(start, stop)
-                tensor._accumulate(out.grad[tuple(slicer)])
+                tensor._accumulate(grad[tuple(slicer)])
 
         out._backward = _backward
         return out
@@ -302,8 +308,8 @@ class Tensor:
         requires_grad = any(t.requires_grad for t in tensors)
         out = Tensor(data, requires_grad=requires_grad, _prev=tuple(tensors) if requires_grad else ())
 
-        def _backward() -> None:
-            grads = np.split(out.grad, len(tensors), axis=axis)
+        def _backward(grad: np.ndarray) -> None:
+            grads = np.split(grad, len(tensors), axis=axis)
             for tensor, grad in zip(tensors, grads):
                 tensor._accumulate(np.squeeze(grad, axis=axis))
 
@@ -315,10 +321,11 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out = self._make(shifted - log_sum, (self,))
+        result = out.data
 
-        def _backward() -> None:
-            softmax = np.exp(out.data)
-            grad = out.grad - softmax * out.grad.sum(axis=axis, keepdims=True)
+        def _backward(grad: np.ndarray) -> None:
+            softmax = np.exp(result)
+            grad = grad - softmax * grad.sum(axis=axis, keepdims=True)
             self._accumulate(grad)
 
         out._backward = _backward
@@ -354,7 +361,7 @@ class Tensor:
 
         for node in reversed(ordered):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def zero_grad(self) -> None:
         self.grad = None

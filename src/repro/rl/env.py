@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ir.analysis import iter_subexpressions
 from repro.ir.nodes import Expr
 from repro.ir.tokenize import ICITokenizer
 from repro.rl.reward import RewardConfig
@@ -67,6 +68,8 @@ class FheRewriteEnv:
             else ICITokenizer(max_length=self.config.max_tokens)
         )
         self.current: Optional[Expr] = None
+        # Match locations of every rule in ``current``, from the last observation.
+        self._locations: List[List[Tuple[int, ...]]] = []
         self.initial_cost: float = 0.0
         self.current_cost: float = 0.0
         self.initial_latency_ms: float = 0.0
@@ -95,8 +98,9 @@ class FheRewriteEnv:
         padding = np.asarray(self.tokenizer.attention_mask(tokens), dtype=np.int64)
         location_counts = np.zeros(self.rule_count, dtype=np.int64)
         rule_mask = np.zeros(self.action_count, dtype=bool)
-        for index, rule in enumerate(self.ruleset):
-            locations = rule.find(self.current)
+        nodes = list(iter_subexpressions(self.current))
+        self._locations = [rule.find_in(nodes) for rule in self.ruleset]
+        for index, locations in enumerate(self._locations):
             if locations:
                 location_counts[index] = min(len(locations), self.config.max_locations)
                 rule_mask[index] = True
@@ -136,7 +140,7 @@ class FheRewriteEnv:
             info["rule"] = "END"
         else:
             rule = self.ruleset[rule_index]
-            locations = rule.find(self.current)
+            locations = self._locations[rule_index]
             if not locations:
                 reward = -reward_config.invalid_action_penalty
                 info["invalid"] = True

@@ -17,19 +17,22 @@ baselines:
 
 * ``find(expr)`` returns the list of *paths* (locations) where the rule is
   applicable, in pre-order;
+* ``find_in(nodes)`` does the same over a pre-order ``(path, node)`` list
+  computed once by the caller (``iter_subexpressions``), so many rules can
+  share one walk of the expression;
 * ``apply_at(expr, path)`` returns the rewritten expression.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro.ir.analysis import iter_subexpressions
 from repro.ir.nodes import Expr, Var
 from repro.ir.parser import parse
 from repro.ir.pattern import (
     Bindings,
     PatternVar,
-    find_matches,
     get_at,
     match,
     replace_at,
@@ -39,6 +42,7 @@ from repro.ir.pattern import (
 __all__ = ["Rule", "PatternRule", "FunctionRule", "RuleApplicationError", "pattern"]
 
 Path = Tuple[int, ...]
+Nodes = Iterable[Tuple[Path, Expr]]
 
 
 class RuleApplicationError(ValueError):
@@ -87,6 +91,10 @@ class Rule:
     # -- interface -----------------------------------------------------------
     def find(self, expr: Expr) -> List[Path]:
         """Locations (paths, pre-order) where this rule is applicable."""
+        return self.find_in(iter_subexpressions(expr))
+
+    def find_in(self, nodes: Nodes) -> List[Path]:
+        """Paths of the ``(path, node)`` pairs (in order) where this rule applies."""
         raise NotImplementedError
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
@@ -131,11 +139,13 @@ class PatternRule(Rule):
         self.guard = guard
         self.builder = builder
 
-    def find(self, expr: Expr) -> List[Path]:
-        matches = find_matches(self.lhs, expr)
-        if self.guard is None:
-            return [m.path for m in matches]
-        return [m.path for m in matches if self.guard(m.bindings)]
+    def find_in(self, nodes: Nodes) -> List[Path]:
+        locations: List[Path] = []
+        for path, node in nodes:
+            bindings = match(self.lhs, node)
+            if bindings is not None and (self.guard is None or self.guard(bindings)):
+                locations.append(path)
+        return locations
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
         target = get_at(expr, path)
@@ -174,14 +184,12 @@ class FunctionRule(Rule):
         self.matcher = matcher
         self.rewriter = rewriter
 
-    def find(self, expr: Expr) -> List[Path]:
-        from repro.ir.analysis import iter_subexpressions
-
-        locations: List[Path] = []
-        for path, node in iter_subexpressions(expr):
-            if self.matcher(node) and self.rewriter(node) is not None:
-                locations.append(path)
-        return locations
+    def find_in(self, nodes: Nodes) -> List[Path]:
+        return [
+            path
+            for path, node in nodes
+            if self.matcher(node) and self.rewriter(node) is not None
+        ]
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
         target = get_at(expr, path)

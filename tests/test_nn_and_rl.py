@@ -1,5 +1,7 @@
 """Tests for the numpy autograd engine, the NN layers and the RL stack."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,43 @@ class TestPoliciesAndPPO:
         history = trainer.train(total_timesteps=48)
         assert history.timesteps
         assert len(history.mean_episode_reward) == len(history.policy_loss)
+
+    def test_autograd_graphs_leave_no_cyclic_garbage(self, ruleset, small_policy_setup):
+        _tokenizer, config = small_policy_setup
+        policy = HierarchicalActorCritic(ruleset.action_count, config)
+        optimizer = Adam(policy.parameters(), learning_rate=1e-3)
+        obs = _small_env(_TRAIN_EXPRS).reset()
+        fields = ("tokens", "padding_mask", "rule_mask", "location_counts")
+        batch = [np.stack([getattr(obs, name)] * 2) for name in fields]
+        gc.collect()
+        gc.disable()
+        try:
+            out = policy.evaluate_actions(*batch, np.array([0, 1]), np.array([0, 0]))
+            loss = (out["log_prob"] + out["entropy"] + out["value"]).sum()
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            del out, loss
+            rule_log_probs, location_log_probs_fn, _value = policy.distributions(obs)
+            location_log_probs_fn(int(np.argmax(rule_log_probs)))
+            del location_log_probs_fn
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_ppo_training_is_bit_identical_across_runs(self, ruleset, small_policy_setup):
+        _tokenizer, config = small_policy_setup
+
+        def train():
+            policy = HierarchicalActorCritic(ruleset.action_count, config)
+            envs = [_small_env(_TRAIN_EXPRS, seed=i) for i in range(2)]
+            PPOTrainer(policy, envs, PPOConfig.small(seed=0)).train(total_timesteps=192)
+            return {name: p.data.copy() for name, p in policy.named_parameters()}
+
+        first, second = train(), train()
+        assert first.keys() == second.keys()
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
 
     def test_agent_optimize_improves_cost_and_is_deterministic(self, small_policy_setup):
         tokenizer, config = small_policy_setup

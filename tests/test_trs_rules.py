@@ -5,7 +5,8 @@ import pytest
 from repro.core.cost import CostModel
 from repro.ir import parse, to_sexpr
 from repro.ir.evaluate import evaluate, output_arity
-from repro.ir.analysis import variables, count_ops, multiplicative_depth
+from repro.ir.analysis import iter_subexpressions, variables, count_ops, multiplicative_depth
+from repro.ir.pattern import find_matches
 from repro.trs import (
     BeamSearchRewriter,
     GreedyRewriter,
@@ -178,6 +179,24 @@ class TestSpecificRewrites:
         second = rule.apply_at(expr, locations[1])
         assert first == parse("(Vec x (+ y 0))")
         assert second == parse("(Vec (+ x 0) y)")
+
+    def test_find_in_shares_one_walk_in_match_order(self, ruleset):
+        exprs = [
+            parse("(Vec (+ (* a b) (* c d)) (+ (* e f) (* g h)))"),
+            parse("(+ (+ (* a b) (* a c)) (+ (* x 0) (* y 1)))"),
+            parse("(<< (VecMul (Vec a b c) (Vec d e f)) 1)"),
+        ]
+        for expr in exprs:
+            nodes = list(iter_subexpressions(expr))
+            for rule in ruleset:
+                assert rule.find_in(nodes) == rule.find(expr), rule.name
+                if isinstance(rule, PatternRule):
+                    expected = [
+                        m.path
+                        for m in find_matches(rule.lhs, expr)
+                        if rule.guard is None or rule.guard(m.bindings)
+                    ]
+                    assert rule.find(expr) == expected, rule.name
 
 
 class TestRewriters:
