@@ -12,8 +12,8 @@ benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Fast CI smoke: tier-1 tests, a 2-worker compilation-service run, the
-# three-backend execution parity diff, the job-orchestration server
-# (mixed compile+execute workload, coalescing asserted via telemetry), the
+# job-orchestration server (mixed compile+execute workload, coalescing
+# asserted via telemetry), the
 # workload suite (mixed traffic over a persistent state dir, bit-identical
 # to the direct api path), the overload hardening (bounded queue sheds
 # under a burst while completing and accounting for every job), the
@@ -25,7 +25,6 @@ benchmarks:
 smoke:
 	$(PYTHON) -m pytest tests -x -q
 	$(PYTHON) scripts/service_smoke.py --workers 2
-	$(PYTHON) scripts/backend_smoke.py
 	$(PYTHON) scripts/server_smoke.py
 	$(PYTHON) scripts/workload_smoke.py
 	$(PYTHON) scripts/overload_smoke.py

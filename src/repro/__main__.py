@@ -296,13 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree", type=int, default=1024, help="polynomial modulus degree n"
     )
     analyze_parser.add_argument(
-        "--opt-level",
-        type=int,
-        default=2,
-        choices=(0, 1, 2),
-        help="vector-VM opt level under analysis (0 skips the tape verifier)",
-    )
-    analyze_parser.add_argument(
         "--json", action="store_true", help="emit the machine-readable report"
     )
 
@@ -734,7 +727,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 compiler or "greedy",
                 name=name,
                 degree=args.degree,
-                opt_level=args.opt_level,
             )
             failed = failed or not analysis.ok
             if args.json:

@@ -874,7 +874,6 @@ def analyze(
     name: Optional[str] = None,
     degree: int = 1024,
     input_bounds: Optional[Sequence[int]] = None,
-    opt_level: int = 2,
     **options: object,
 ) -> Tuple[CompilationReport, object]:
     """Statically verify one program end to end; returns ``(report, analysis)``.
@@ -886,13 +885,11 @@ def analyze(
       :class:`~repro.compiler.framework.PassPipeline` is followed by the
       expression/circuit structural checks, findings attributed to the
       stage that introduced them;
-    * the **tape verifier** (``opt_level >= 1``) — the circuit is compiled
-      to the vector VM's executable tape and checked for register-arena
-      safety, output coverage, reduction-schedule soundness under every
-      input-magnitude bucket of ``input_bounds``, fusion legality and
-      symbolic equivalence against the source circuit.  ``opt_level=0``
-      (the legacy interpreter, which runs the instruction list as written)
-      skips the tape stage.
+    * the **tape verifier** — the circuit is compiled to the vector VM's
+      executable tape and checked for register-arena safety, output
+      coverage, reduction-schedule soundness under every input-magnitude
+      bucket of ``input_bounds``, fusion legality and symbolic equivalence
+      against the source circuit.
 
     The returned analysis is a merged
     :class:`~repro.analysis.AnalysisReport`; ``analysis.ok`` is False iff
@@ -914,15 +911,11 @@ def analyze(
     merged = AnalysisReport()
     if report.analysis is not None:
         merged.merge(report.analysis)
-    if opt_level >= 1:
-        params = BFVParameters.default(degree)
-        tape = compile_tape(report.circuit, params)
-        bounds = tuple(input_bounds) if input_bounds else DEFAULT_BOUNDS
-        merged.merge(
-            verify_tape(
-                report.circuit, tape, input_bounds=bounds, location=report.name
-            )
-        )
+    tape = compile_tape(report.circuit, BFVParameters.default(degree))
+    bounds = tuple(input_bounds) if input_bounds else DEFAULT_BOUNDS
+    merged.merge(
+        verify_tape(report.circuit, tape, input_bounds=bounds, location=report.name)
+    )
     return report, merged
 
 

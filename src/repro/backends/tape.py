@@ -90,13 +90,13 @@ def set_tape_profiling(enabled: bool) -> bool:
     """Toggle per-superinstruction tape profiling; returns the old value.
 
     When enabled, :meth:`CompiledTape.execute_batch` routes through the
-    dispatch interpreter with a ``perf_counter_ns`` sample around every tape
-    op, accumulating counts and cumulative nanoseconds per opcode into the
-    tape's :class:`TapeProfile`.  Outputs stay bit-identical (the profiled
-    path runs the exact same in-place numpy ops in the exact same order as
-    opt level 1, whose parity with the specialized path is pinned by tests)
-    and accounting stays float-identical (it is replayed at compile time,
-    independent of the execution path).
+    dispatch interpreter (:func:`_interpret`, one op at a time) with a
+    ``perf_counter_ns`` sample around every tape op, accumulating counts and
+    cumulative nanoseconds per opcode into the tape's :class:`TapeProfile`.
+    Outputs stay bit-identical (the profiled path runs the same in-place
+    numpy ops in the same order as the specialized function; tests pin both
+    against the reference backend) and accounting stays float-identical (it
+    is replayed at compile time, independent of the execution path).
     """
     global _PROFILING
     previous = _PROFILING
@@ -237,10 +237,15 @@ class TapePlan:
     generated lazily by :meth:`function` and cached on the plan.
     """
 
-    __slots__ = ("tape", "bucket", "ops", "_fn", "_source", "_lock")
+    __slots__ = ("bucket", "ops", "_frame", "_fn", "_source", "_lock")
 
     def __init__(self, tape: "CompiledTape", bucket: int, ops: List[TapeOp]) -> None:
-        self.tape = tape
+        # Keep only what the specializer reads, never the tape itself: a
+        # tape <-> plan cycle would leave every tape the memo evicts, and
+        # its pooled arenas, to the cyclic GC instead of freeing it at once.
+        self._frame = (
+            tape.width, tape.t, tape.half, [output.buffer for output in tape.outputs]
+        )
         self.bucket = bucket
         self.ops = ops
         self._fn: Optional[Callable] = None
@@ -440,11 +445,7 @@ class CompiledTape:
 
     # -- execution -----------------------------------------------------------
     def execute_batch(
-        self,
-        inputs_list: Sequence[Mapping[str, Value]],
-        *,
-        specialize: bool = True,
-        backend_name: str = "vector-vm",
+        self, inputs_list: Sequence[Mapping[str, Value]]
     ) -> List[ExecutionReport]:
         """Run the tape for a whole batch and assemble one report per row."""
         batch = len(inputs_list)
@@ -489,17 +490,15 @@ class CompiledTape:
                 _interpret_profiled(
                     plan.ops, buffers, t, half, self.width, self._profile(), batch
                 )
-            elif specialize:
-                plan.function()(buffers)
             else:
-                _interpret(plan.ops, buffers, t, half, self.width)
-            reports = self._build_reports(buffers, batch, backend_name)
+                plan.function()(buffers)
+            reports = self._build_reports(buffers, batch)
         finally:
             self._checkin(capacity, slots)
         return reports
 
     def _build_reports(
-        self, buffers: List[np.ndarray], batch: int, backend_name: str
+        self, buffers: List[np.ndarray], batch: int
     ) -> List[ExecutionReport]:
         accounting = self.accounting
         t, half = self.t, self.half
@@ -511,7 +510,7 @@ class CompiledTape:
                 consumed_noise_budget=accounting.consumed_noise_budget,
                 remaining_noise_budget=accounting.remaining_noise_budget,
                 noise_budget_exhausted=accounting.noise_budget_exhausted,
-                backend=backend_name,
+                backend="vector-vm",
                 batch_size=batch,
             )
             for _ in range(batch)
@@ -621,7 +620,7 @@ class CompiledTape:
 
 
 # ---------------------------------------------------------------------------
-# the fallback interpreter (opt level 1: optimized tape, dispatch loop)
+# the dispatch interpreter (the profiled route, one op at a time)
 # ---------------------------------------------------------------------------
 def _rotate_into(dst: np.ndarray, src: np.ndarray, step: int, width: int) -> None:
     split = width - step
@@ -684,9 +683,9 @@ def _interpret_profiled(
     """Like :func:`_interpret`, but samples ``perf_counter_ns`` per op.
 
     Delegates each op to :func:`_interpret` one at a time, so the executed
-    numpy operations (and hence the outputs) are bit-identical to opt level 1
-    by construction; only the clock samples and the per-opcode accumulation
-    are extra.
+    numpy operations (and hence the outputs) are those of the specialized
+    function; only the clock samples and the per-opcode accumulation are
+    extra.
     """
     counts: Dict[str, int] = {}
     elapsed: Dict[str, int] = {}
@@ -702,7 +701,7 @@ def _interpret_profiled(
 
 
 # ---------------------------------------------------------------------------
-# the per-tape specializer (opt level 2: generated straight-line function)
+# the per-tape specializer (the default route: generated straight-line code)
 # ---------------------------------------------------------------------------
 def _specialize(plan: TapePlan) -> Tuple[Callable, str]:
     """Generate one straight-line Python function for ``plan``.
@@ -712,15 +711,12 @@ def _specialize(plan: TapePlan) -> Tuple[Callable, str]:
     are baked in as constants — no dispatch, no indexing, no allocation in
     the generated body.
     """
-    tape = plan.tape
-    width, t, half = tape.width, tape.t, tape.half
-    used = set()
+    width, t, half, output_buffers = plan._frame
+    used = set(output_buffers)
     for op in plan.ops:
         for index in (op.dst, op.a, op.b, op.c):
             if index >= 0:
                 used.add(index)
-    for output in tape.outputs:
-        used.add(output.buffer)
     lines = ["def _tape_fn(buffers):"]
     for index in sorted(used):
         lines.append(f"    b{index} = buffers[{index}]")

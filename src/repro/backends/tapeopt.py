@@ -6,8 +6,8 @@ peephole passes over the SSA instruction list and emits a
 
 1. **Copy propagation** — ``ROTATE`` with an effective step of zero and
    ``OUTPUT`` markers are pure aliases; they are resolved away so aliases
-   never materialise (the latent in-place aliasing hazard of the old
-   interpreter cannot exist by construction).
+   never materialise (an in-place write through an aliased register cannot
+   corrupt its source by construction).
 2. **Constant/load hoisting + dedup** — identical ``LOAD_PLAIN`` constants
    collapse into one read-only constant-pool entry, identical ``LOAD_INPUT``
    layouts into one load, and identical pure subexpressions are value
@@ -123,10 +123,12 @@ def _replay_accounting(
 ) -> Tuple[TapeAccounting, Dict[int, Tuple[bool, float]]]:
     """Replay the original tape through the ledger/meter formulas.
 
-    Mirrors the legacy interpreter's accounting loop statement for statement
-    (same operations, same order), so every float is identical to a metered
-    execution.  Returns the aggregate accounting plus per-output-register
-    ``(is_ciphertext, clamped_budget)`` pairs.
+    Charges the same meter operations in the same order as the reference
+    evaluator (:class:`~repro.fhe.evaluator.Evaluator` running the
+    instruction list under an :class:`~repro.fhe.meter.ExecutionMeter`), so
+    every float is identical to a metered reference execution.  Returns the
+    aggregate accounting plus per-output-register ``(is_ciphertext,
+    clamped_budget)`` pairs.
     """
     meter = ExecutionMeter(params=params)
     ledger = NoiseLedger(meter)
@@ -727,7 +729,12 @@ def compile_tape(
 # the process-wide compiled-tape memo
 # ---------------------------------------------------------------------------
 _CACHE_CAPACITY = 64
-_cache: "OrderedDict[Tuple[str, BFVParameters], CompiledTape]" = OrderedDict()
+#: Memo entries are ``(tape, verified)``: whether the tape verifier has
+#: passed this tape, so a ``verify=True`` lookup never trusts a tape some
+#: ``verify=False`` caller compiled first.
+_cache: "OrderedDict[Tuple[str, BFVParameters], Tuple[CompiledTape, bool]]" = (
+    OrderedDict()
+)
 _cache_lock = threading.Lock()
 _counters = {"hits": 0, "misses": 0, "compiles": 0, "verified": 0, "findings": 0}
 
@@ -747,11 +754,12 @@ def get_compiled_tape(
     ticks and across backend instances.
 
     ``verify=True`` runs the static tape verifier
-    (:func:`repro.analysis.tape_check.verify_tape`) on every *fresh*
-    compile — memo hits were verified when first built — raising
-    :class:`TapeVerificationError` on any ERROR finding and folding the
-    verified/finding counts into the memo counters (the server's telemetry
-    sync turns those into ``analysis_findings``).
+    (:func:`repro.analysis.tape_check.verify_tape`) once per memo entry — on
+    a fresh compile, or on the first ``verify=True`` hit of a tape that was
+    compiled unverified — raising :class:`TapeVerificationError` on any
+    ERROR finding and folding the verified/finding counts into the memo
+    counters (the server's telemetry sync turns those into
+    ``analysis_findings``).
 
     ``fingerprint`` is ``program_fingerprint(program)`` when the caller
     already holds it (the server computes it once per circuit); None hashes
@@ -759,29 +767,44 @@ def get_compiled_tape(
     """
     key = (fingerprint or program_fingerprint(program), params)
     with _cache_lock:
-        tape = _cache.get(key)
-        if tape is not None:
+        entry = _cache.get(key)
+        if entry is None:
+            _counters["misses"] += 1
+        else:
             _cache.move_to_end(key)
             _counters["hits"] += 1
-            return tape
-        _counters["misses"] += 1
+            tape, verified = entry
+            if verified or not verify:
+                return tape
+    if entry is not None:
+        # A verify=True hit on a tape compiled unverified: verify it once.
+        _verify(program, tape)
+        with _cache_lock:
+            if _cache.get(key) is entry:
+                _cache[key] = (tape, True)
+        return tape
     tape = compile_tape(program, params)
     if verify:
-        from repro.analysis.tape_check import verify_tape
-
-        report = verify_tape(program, tape)
-        with _cache_lock:
-            _counters["verified"] += 1
-            _counters["findings"] += len(report.findings)
-        if not report.ok:
-            raise TapeVerificationError(program.name, report)
+        _verify(program, tape)
     with _cache_lock:
         _counters["compiles"] += 1
-        _cache[key] = tape
+        _cache[key] = (tape, verify)
         _cache.move_to_end(key)
         while len(_cache) > _CACHE_CAPACITY:
             _cache.popitem(last=False)
     return tape
+
+
+def _verify(program: CircuitProgram, tape: CompiledTape) -> None:
+    """Run the tape verifier, count it, raise on any ERROR finding."""
+    from repro.analysis.tape_check import verify_tape
+
+    report = verify_tape(program, tape)
+    with _cache_lock:
+        _counters["verified"] += 1
+        _counters["findings"] += len(report.findings)
+    if not report.ok:
+        raise TapeVerificationError(program.name, report)
 
 
 def tape_cache_stats() -> Dict[str, int]:

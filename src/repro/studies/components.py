@@ -1,11 +1,10 @@
 """The component registry of the study engine.
 
 A :class:`Component` names one toggleable piece of the serving stack — the
-optimizing compiler, the batched vector backend, the vector VM's tape
-optimizer, the fingerprint coalescer, the compilation-cache tier, the
-timer-augmented scheduler, admission control — together with the
-configuration delta that switches it *off*.  A study
-then runs one baseline (everything on) plus one condition per component
+optimizing compiler, the batched vector backend, the fingerprint
+coalescer, the compilation-cache tier, the timer-augmented scheduler,
+admission control — together with the configuration delta that switches it
+*off*.  A study then runs one baseline (everything on) plus one condition per component
 (exactly that component off) and prices each component by the metric
 difference, the :mod:`repro.studies.analysis` importance score.
 
@@ -120,20 +119,6 @@ register_component(
             "'reference' interpreter, one input set at a time."
         ),
         ablated={"backend": "reference"},
-        metrics=("throughput_jobs_per_s", "mean_run_s"),
-    )
-)
-
-register_component(
-    Component(
-        name="vm-tapeopt",
-        description=(
-            "Vector-VM tape compilation: ablated runs execute on "
-            "'vector-vm-interp', the legacy per-instruction stacked-rows "
-            "interpreter, instead of the fused, arena-allocated, "
-            "per-tape-specialized compiled tapes (opt_level=0 vs 2)."
-        ),
-        ablated={"backend": "vector-vm-interp"},
         metrics=("throughput_jobs_per_s", "mean_run_s"),
     )
 )

@@ -154,6 +154,14 @@ class TestBackendParity:
             assert vm.outputs == single.outputs
             assert vm.batch_size == 6
             assert vm.backend == "vector-vm"
+            # Batching shares one replayed accounting: every row matches
+            # its own metered reference execution float for float.
+            assert vm.latency_ms == single.latency_ms
+            assert vm.operation_counts == single.operation_counts
+            assert vm.consumed_noise_budget == single.consumed_noise_budget
+            assert vm.remaining_noise_budget == single.remaining_noise_budget
+            assert vm.noise_budget_exhausted == single.noise_budget_exhausted
+            assert vm.encrypted_inputs == single.encrypted_inputs
 
     def test_parity_on_vectorized_coyote_circuits(self):
         """Rotation/mask-heavy circuits (the Coyote compiler) stay parity-clean."""

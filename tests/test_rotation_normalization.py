@@ -86,7 +86,7 @@ INPUTS = {
     for var in "abc"
     for i in range(4)
 }
-BACKENDS = ("reference", "vector-vm", "vector-vm-interp")
+BACKENDS = ("reference", "vector-vm")
 
 
 @pytest.mark.parametrize(

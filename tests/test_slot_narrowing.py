@@ -5,18 +5,21 @@ Covers the demanded-slot window ``[L, H)`` that ``compile_tape`` derives
 fall back to the full ring), input validation that does not depend on the
 window, the bounded arena pool, a registry sweep proving every shipped
 workload runs narrowed, and a hypothesis differential test of random
-circuits against the ``reference`` backend at opt levels 1 and 2.
+circuits against the ``reference`` backend through both vector-VM routes
+(the specialized function and the profiled dispatch interpreter).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.analysis.tape_check import verify_tape
+from repro.backends.tape import set_tape_profiling
 from repro.backends.tapeopt import compile_tape
 from repro.backends.vector_vm import VectorVMBackend
 from repro.compiler.circuit import CircuitProgram, InputSlot, Opcode
@@ -44,22 +47,36 @@ def ct_input(program: CircuitProgram, *names: str) -> int:
     )
 
 
+@contextmanager
+def profiled():
+    """Route tape execution through the profiled dispatch interpreter."""
+    previous = set_tape_profiling(True)
+    try:
+        yield
+    finally:
+        set_tape_profiling(previous)
+
+
+#: The specialized generated function and the profiled ``_interpret`` route.
+VM_ROUTES = (("specialized", nullcontext), ("profiled", profiled))
+
+
 def assert_parity(program: CircuitProgram, inputs_list) -> None:
-    """Opt levels 1 and 2 match the reference bit for bit, float for float."""
+    """Both VM routes match the reference bit for bit, float for float."""
     reference = [
         execute(program, inputs, params=PARAMS, backend="reference")
         for inputs in inputs_list
     ]
-    for opt_level in (1, 2):
-        reports = execute_many(
-            program, inputs_list, params=PARAMS,
-            backend=VectorVMBackend(opt_level=opt_level),
-        )
+    for label, route in VM_ROUTES:
+        with route():
+            reports = execute_many(
+                program, inputs_list, params=PARAMS, backend=VectorVMBackend()
+            )
         for ref, got in zip(reference, reports):
-            assert got.outputs == ref.outputs, f"opt{opt_level} outputs diverge"
+            assert got.outputs == ref.outputs, f"{label} outputs diverge"
             for field in ACCOUNTING_FIELDS:
                 assert getattr(got, field) == getattr(ref, field), (
-                    f"opt{opt_level} {field} diverges"
+                    f"{label} {field} diverges"
                 )
 
 
@@ -161,12 +178,12 @@ class TestInputValidation:
         assert tape.width == 1
         assert all(name != "x" for load in tape.loads for _, name in load.var_columns)
         assert tape.input_names == ("y", "x")
-        for opt_level in (1, 2):
-            backend = VectorVMBackend(opt_level=opt_level)
+        backend = VectorVMBackend()
+        for _, route in VM_ROUTES:
             missing = [{"y": 1, "x": 2}, {"y": 3}]
-            with pytest.raises(CompilationError, match="missing value for .* 'x'"):
+            with route(), pytest.raises(CompilationError, match="missing value for .* 'x'"):
                 backend.execute_many(program, missing, params=PARAMS)
-            with pytest.raises(CompilationError, match="'x' is packed slot-wise"):
+            with route(), pytest.raises(CompilationError, match="'x' is packed slot-wise"):
                 backend.execute_many(program, [{"y": 1, "x": [2, 3]}], params=PARAMS)
 
     def test_input_outside_the_window_runs_when_given(self):

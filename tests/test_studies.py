@@ -63,7 +63,6 @@ class TestComponents:
         for expected in (
             "compiler-opt",
             "vector-backend",
-            "vm-tapeopt",
             "coalescing",
             "compile-cache",
             "measured-scheduler",

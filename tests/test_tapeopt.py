@@ -6,10 +6,14 @@ kind and the cases where fusion must refuse), the modular-reduction
 scheduler, the process-wide compiled-tape memo, float-for-float
 accounting parity on fused tapes, an aliasing regression that would
 corrupt outputs under in-place execution, and a bit-identical parity
-sweep of the whole workload registry across every optimization level.
+sweep of the whole workload registry through both vector-VM routes.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.backends import (
     reset_tape_cache,
     tape_cache_stats,
 )
+from repro.backends.tape import set_tape_profiling
 from repro.backends.vector_vm import VectorVMBackend
 from repro.compiler.circuit import CircuitProgram, InputSlot, Opcode
 from repro.compiler.executor import execute, execute_many
@@ -41,12 +46,22 @@ ACCOUNTING_FIELDS = (
     "noise_budget_exhausted",
 )
 
-#: The three vector-VM execution strategies: specialized tape (default),
-#: tape dispatch interpreter, and the legacy per-instruction interpreter.
+
+@contextmanager
+def profiled():
+    """Route tape execution through the profiled dispatch interpreter."""
+    previous = set_tape_profiling(True)
+    try:
+        yield
+    finally:
+        set_tape_profiling(previous)
+
+
+#: The two vector-VM execution routes: the specialized generated function
+#: (default) and the profiled per-op dispatch through ``tape._interpret``.
 VM_VARIANTS = (
-    ("opt2", lambda: VectorVMBackend(opt_level=2)),
-    ("opt1", lambda: VectorVMBackend(opt_level=1)),
-    ("interp", lambda: "vector-vm-interp"),
+    ("specialized", nullcontext),
+    ("profiled", profiled),
 )
 
 
@@ -61,8 +76,11 @@ def assert_backend_parity(program, inputs_list, params=PARAMS):
         execute(program, item, params=params, backend="reference")
         for item in inputs_list
     ]
-    for label, factory in VM_VARIANTS:
-        reports = execute_many(program, inputs_list, params=params, backend=factory())
+    for label, route in VM_VARIANTS:
+        with route():
+            reports = execute_many(
+                program, inputs_list, params=params, backend=VectorVMBackend()
+            )
         assert len(reports) == len(reference)
         for index, (ref, got) in enumerate(zip(reference, reports)):
             assert got.outputs == ref.outputs, f"{label}[{index}] outputs diverge"
@@ -265,6 +283,20 @@ class TestAccountingReplay:
 
 
 class TestTapeMemo:
+    def test_evicted_tapes_are_freed_without_the_cyclic_gc(self):
+        # A tape the memo drops must free its arenas at once: nothing it
+        # owns (plans, pooled arenas, profile) may refer back to it.
+        tape = compile_tape(compiled("(+ (* a b) (<< c 2))"), PARAMS)
+        tape.execute_batch([{"a": 1, "b": 2, "c": 3}])
+        tape.plan_for(1).source()
+        alive = weakref.ref(tape)
+        gc.disable()
+        try:
+            del tape
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_hit_miss_and_reset_counters(self):
         reset_tape_cache()
         zeros = {"hits": 0, "misses": 0, "compiles": 0, "verified": 0, "findings": 0, "size": 0}
@@ -302,7 +334,7 @@ class TestTapeMemo:
 
 
 class TestWorkloadRegistrySweep:
-    """Whole-registry parity: every workload, every opt level, B in {1,2,7,32}."""
+    """Whole-registry parity: every workload, both VM routes, B in {1,2,7,32}."""
 
     @pytest.fixture(scope="class")
     def circuits(self):
