@@ -11,9 +11,9 @@ test:
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Fast CI smoke: tier-1 tests, a 2-worker compilation-service run, the
-# job-orchestration server (mixed compile+execute workload, coalescing
-# asserted via telemetry), the
+# Fast CI smoke: tier-1 tests (which include the 2-worker
+# compilation-service cold/warm run), the job-orchestration server (mixed
+# compile+execute workload, coalescing asserted via telemetry), the
 # workload suite (mixed traffic over a persistent state dir, bit-identical
 # to the direct api path), the overload hardening (bounded queue sheds
 # under a burst while completing and accounting for every job), the
@@ -24,7 +24,6 @@ benchmarks:
 # the mutation harness detects every injected defect).
 smoke:
 	$(PYTHON) -m pytest tests -x -q
-	$(PYTHON) scripts/service_smoke.py --workers 2
 	$(PYTHON) scripts/server_smoke.py
 	$(PYTHON) scripts/workload_smoke.py
 	$(PYTHON) scripts/overload_smoke.py

@@ -117,13 +117,22 @@ def iter_subexpressions(expr: Expr) -> Iterator[Tuple[Tuple[int, ...], Expr]]:
 
 
 def unique_subexpressions(expr: Expr) -> List[Expr]:
-    """Return the distinct sub-expressions of ``expr`` (DAG nodes)."""
+    """Return the distinct sub-expressions of ``expr`` (DAG nodes).
+
+    The order is first occurrence in pre-order.  A repeated subtree is not
+    descended into: its nodes were all seen inside its first occurrence, so
+    the walk is linear in the DAG, not the tree.
+    """
     seen: Set[Expr] = set()
     ordered: List[Expr] = []
-    for _, node in iter_subexpressions(expr):
-        if node not in seen:
-            seen.add(node)
-            ordered.append(node)
+    stack: List[Expr] = [expr]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        ordered.append(node)
+        stack.extend(reversed(node.children))
     return ordered
 
 

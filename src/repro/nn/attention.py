@@ -50,12 +50,33 @@ class MultiHeadSelfAttention(Module):
         keys = self._split_heads(self.key(inputs), batch, length)
         values = self._split_heads(self.value(inputs), batch, length)
 
+        attended = self._attend(queries, keys, values, padding_mask)
+        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, self.model_dim)
+        return self.output(merged)
+
+    def forward_first(self, inputs: Tensor, padding_mask: Optional[np.ndarray] = None) -> Tensor:
+        """Self-attention output at position 0 only, shape ``(batch, model_dim)``.
+
+        Keys and values still cover every position (with the same padding
+        mask); the query, the attention row and the output projection are
+        computed for the first position alone.  Row-0 projections stay 2-D
+        ``(batch, model_dim) @ W`` products.
+        """
+        batch, length, _ = inputs.shape
+        query = self.query(inputs[:, 0, :]).reshape(batch, self.num_heads, 1, self.head_dim)
+        keys = self._split_heads(self.key(inputs), batch, length)
+        values = self._split_heads(self.value(inputs), batch, length)
+        attended = self._attend(query, keys, values, padding_mask)
+        return self.output(attended.reshape(batch, self.model_dim))
+
+    def _attend(
+        self, queries: Tensor, keys: Tensor, values: Tensor, padding_mask: Optional[np.ndarray]
+    ) -> Tensor:
+        # (batch, heads, queries, head_dim) attending over every key position.
         scores = queries @ keys.transpose(0, 1, 3, 2)
         scores = scores * (1.0 / math.sqrt(self.head_dim))
         if padding_mask is not None:
             additive = np.where(np.asarray(padding_mask)[:, None, None, :] > 0, 0.0, -1e9)
             scores = scores + Tensor(additive)
         weights = scores.softmax(axis=-1)
-        attended = weights @ values
-        merged = attended.transpose(0, 2, 1, 3).reshape(batch, length, self.model_dim)
-        return self.output(merged)
+        return weights @ values

@@ -54,7 +54,19 @@ class TransformerEncoderLayer(Module):
 
     def forward(self, inputs: Tensor, padding_mask: Optional[np.ndarray] = None) -> Tensor:
         attended = self.attention(self.norm1(inputs), padding_mask)
-        inputs = inputs + attended
+        return self._feed_forward(inputs + attended)
+
+    def forward_first(self, inputs: Tensor, padding_mask: Optional[np.ndarray] = None) -> Tensor:
+        """The layer's output at position 0 only, shape ``(batch, model_dim)``.
+
+        Equal to ``forward(inputs, padding_mask)[:, 0, :]`` in exact
+        arithmetic: ``norm1`` and the attention keys/values still see every
+        position, everything after them runs on the first position alone.
+        """
+        attended = self.attention.forward_first(self.norm1(inputs), padding_mask)
+        return self._feed_forward(inputs[:, 0, :] + attended)
+
+    def _feed_forward(self, inputs: Tensor) -> Tensor:
         hidden = self.ff2(self.ff1(self.norm2(inputs)).relu())
         return inputs + hidden
 
@@ -92,21 +104,36 @@ class TransformerEncoder(Module):
             )
         self.final_norm = LayerNorm(model_dim)
 
-    def forward(self, token_ids: np.ndarray, padding_mask: Optional[np.ndarray] = None) -> Tensor:
+    def _embed(self, token_ids: np.ndarray) -> Tensor:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim == 1:
             token_ids = token_ids[None, :]
         length = token_ids.shape[1]
         if length > self.max_length:
             raise ValueError(f"sequence length {length} exceeds max_length {self.max_length}")
-        embedded = self.embedding(token_ids)
-        embedded = embedded + Tensor(self._positional[:length])
-        hidden = embedded
+        return self.embedding(token_ids) + Tensor(self._positional[:length])
+
+    def forward(self, token_ids: np.ndarray, padding_mask: Optional[np.ndarray] = None) -> Tensor:
+        hidden = self._embed(token_ids)
         for index in range(self.layers_count):
             hidden = getattr(self, f"layer{index}")(hidden, padding_mask)
         return self.final_norm(hidden)
 
     def encode(self, token_ids: np.ndarray, padding_mask: Optional[np.ndarray] = None) -> Tensor:
-        """Pooled ``[CLS]`` embedding of shape ``(batch, model_dim)``."""
-        hidden = self.forward(token_ids, padding_mask)
-        return hidden[:, 0, :]
+        """Pooled ``[CLS]`` embedding of shape ``(batch, model_dim)``.
+
+        Equal to ``forward(token_ids, padding_mask)[:, 0, :]`` in exact
+        arithmetic (not bit for bit), but only the first position is
+        carried through the last layer: all earlier layers run over every
+        position, the last one computes keys and values over every position
+        and the rest (query, attention row, output projection, residual,
+        feed-forward, ``final_norm``) for ``[CLS]`` alone.  The backward
+        pass of an RL loss shrinks the same way.
+        """
+        hidden = self._embed(token_ids)
+        if self.layers_count == 0:
+            return self.final_norm(hidden[:, 0, :])
+        last = self.layers_count - 1
+        for index in range(last):
+            hidden = getattr(self, f"layer{index}")(hidden, padding_mask)
+        return self.final_norm(getattr(self, f"layer{last}").forward_first(hidden, padding_mask))

@@ -127,7 +127,12 @@ class ChehabAgent:
             )
             if self.guided:
                 chosen = self._best_guided_action(
-                    current, current_cost, rule_log_probs, location_log_probs_fn, top_k
+                    current,
+                    current_cost,
+                    env.locations,
+                    rule_log_probs,
+                    location_log_probs_fn,
+                    top_k,
                 )
                 if chosen is None:
                     break
@@ -137,7 +142,7 @@ class ChehabAgent:
                 if rule_index == self.ruleset.end_index:
                     break
                 rule = self.ruleset[rule_index]
-                locations = rule.find(current)
+                locations = env.locations[rule_index]
                 if not locations:
                     break
                 location_index = min(
@@ -171,11 +176,16 @@ class ChehabAgent:
         self,
         current: Expr,
         current_cost: float,
+        locations_by_rule: Sequence[Sequence[Tuple[int, ...]]],
         rule_log_probs: np.ndarray,
         location_log_probs_fn,
         top_k: int,
     ) -> Optional[Tuple[int, int, Expr, float]]:
-        """Best cost-reducing candidate among the policy's top-k rules."""
+        """Best cost-reducing candidate among the policy's top-k rules.
+
+        ``locations_by_rule`` are the match locations of every rule in
+        ``current`` (the environment's last observation computed them).
+        """
         cost_model = self.reward_config.cost_model
         candidate_rules = np.argsort(rule_log_probs)[::-1][: max(1, top_k)]
         best: Optional[Tuple[int, int, Expr, float]] = None
@@ -184,7 +194,7 @@ class ChehabAgent:
             if rule_index == self.ruleset.end_index:
                 continue
             rule = self.ruleset[rule_index]
-            locations = rule.find(current)
+            locations = locations_by_rule[rule_index]
             if not locations:
                 continue
             location_index = min(

@@ -7,6 +7,13 @@ locations of every rule.  Actions are ``(rule_index, location_index)``
 pairs; selecting ``END`` (or reaching the step limit) terminates the episode
 and triggers the terminal reward.
 
+The location lists come from :meth:`RuleSet.find_all` with a match memo
+the environment owns for one episode (cleared in ``reset``): a rewrite
+rebuilds only the spine above the rewritten node, so after a step only
+those nodes are matched again.  :attr:`FheRewriteEnv.locations` exposes the
+lists of the last observation, which the deployed agent reuses instead of
+matching the expression again.
+
 The environment follows the Gym ``reset``/``step`` convention but is
 dependency-free.  Multiple independent copies can be stepped in a simple
 round-robin fashion by :class:`repro.rl.ppo.PPOTrainer`, mirroring the
@@ -20,11 +27,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ir.analysis import iter_subexpressions
 from repro.ir.nodes import Expr
 from repro.ir.tokenize import ICITokenizer
 from repro.rl.reward import RewardConfig
-from repro.trs.registry import RuleSet, default_ruleset
+from repro.trs.registry import MatchMemo, RuleSet, default_ruleset
 
 __all__ = ["EnvConfig", "Observation", "FheRewriteEnv"]
 
@@ -68,8 +74,10 @@ class FheRewriteEnv:
             else ICITokenizer(max_length=self.config.max_tokens)
         )
         self.current: Optional[Expr] = None
-        # Match locations of every rule in ``current``, from the last observation.
-        self._locations: List[List[Tuple[int, ...]]] = []
+        #: Match locations of every rule in ``current``, from the last observation.
+        self.locations: List[List[Tuple[int, ...]]] = []
+        # Per-episode match memo (node -> indices of the rules applying there).
+        self._memo: MatchMemo = {}
         self.initial_cost: float = 0.0
         self.current_cost: float = 0.0
         self.initial_latency_ms: float = 0.0
@@ -98,9 +106,8 @@ class FheRewriteEnv:
         padding = np.asarray(self.tokenizer.attention_mask(tokens), dtype=np.int64)
         location_counts = np.zeros(self.rule_count, dtype=np.int64)
         rule_mask = np.zeros(self.action_count, dtype=bool)
-        nodes = list(iter_subexpressions(self.current))
-        self._locations = [rule.find_in(nodes) for rule in self.ruleset]
-        for index, locations in enumerate(self._locations):
+        self.locations = self.ruleset.find_all(self.current, self._memo)
+        for index, locations in enumerate(self.locations):
             if locations:
                 location_counts[index] = min(len(locations), self.config.max_locations)
                 rule_mask[index] = True
@@ -116,6 +123,7 @@ class FheRewriteEnv:
     def reset(self, expr: Optional[Expr] = None) -> Observation:
         """Start a new episode on ``expr`` (or one drawn from the source)."""
         self.current = expr if expr is not None else self.expression_source()
+        self._memo.clear()
         self.initial_cost = self._cost(self.current)
         self.current_cost = self.initial_cost
         if self.config.reward.use_latency_terminal:
@@ -140,7 +148,7 @@ class FheRewriteEnv:
             info["rule"] = "END"
         else:
             rule = self.ruleset[rule_index]
-            locations = self._locations[rule_index]
+            locations = self.locations[rule_index]
             if not locations:
                 reward = -reward_config.invalid_action_penalty
                 info["invalid"] = True

@@ -13,7 +13,9 @@ provides three classical drivers of the same action space:
 
 All drivers return both the optimized expression and the sequence of
 :class:`RewriteStep` records, so compilation reports can show exactly which
-rules were applied where.
+rules were applied where.  Each matches every rule in one walk per
+expression through :meth:`RuleSet.find_all`, with one match memo per
+``optimize`` call.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostModel
 from repro.ir.nodes import Expr
-from repro.trs.registry import RuleSet, default_ruleset
+from repro.trs.registry import MatchMemo, RuleSet, default_ruleset
 
 __all__ = [
     "RewriteStep",
@@ -77,11 +79,12 @@ def apply_sequence(
     steps: List[RewriteStep] = []
     initial_cost = cost_model.cost(expr)
     current = expr
+    memo: MatchMemo = {}
     for rule_index, location_index in actions:
         if rule_index == ruleset.end_index:
             break
         rule = ruleset[rule_index]
-        locations = rule.find(current)
+        locations = ruleset.find_all(current, memo)[rule_index]
         if not locations:
             continue
         location_index = min(location_index, len(locations) - 1)
@@ -126,10 +129,11 @@ class GreedyRewriter:
         initial_cost = self.cost_model.cost(expr)
         current = expr
         current_cost = initial_cost
+        memo: MatchMemo = {}
         for _ in range(self.max_steps):
             best: Optional[Tuple[float, int, int, Expr]] = None
-            for rule_index, rule in enumerate(self.ruleset):
-                locations = rule.find(current)
+            matches = self.ruleset.find_all(current, memo)
+            for rule_index, (rule, locations) in enumerate(zip(self.ruleset, matches)):
                 for location_index, path in enumerate(
                     locations[: self.max_locations_per_rule]
                 ):
@@ -184,11 +188,12 @@ class BeamSearchRewriter:
         beam: List[Tuple[float, Expr, List[RewriteStep]]] = [(initial_cost, expr, [])]
         best_cost, best_expr, best_steps = initial_cost, expr, []
         seen = {expr}
+        memo: MatchMemo = {}
         for _ in range(self.max_steps):
             candidates: List[Tuple[float, Expr, List[RewriteStep]]] = []
             for cost, current, steps in beam:
-                for rule_index, rule in enumerate(self.ruleset):
-                    locations = rule.find(current)
+                matches = self.ruleset.find_all(current, memo)
+                for rule_index, (rule, locations) in enumerate(zip(self.ruleset, matches)):
                     for location_index, path in enumerate(
                         locations[: self.max_locations_per_rule]
                     ):
@@ -239,13 +244,15 @@ class RandomRewriter:
         steps: List[RewriteStep] = []
         initial_cost = self.cost_model.cost(expr)
         current = expr
+        memo: MatchMemo = {}
         for _ in range(self.max_steps):
-            applicable = self.ruleset.applicable_rules(current)
+            matches = self.ruleset.find_all(current, memo)
+            applicable = [index for index, locations in enumerate(matches) if locations]
             if not applicable:
                 break
             rule_index = self._rng.choice(applicable)
             rule = self.ruleset[rule_index]
-            locations = rule.find(current)
+            locations = matches[rule_index]
             location_index = self._rng.randrange(len(locations))
             cost_before = self.cost_model.cost(current)
             current = rule.apply_at(current, locations[location_index])

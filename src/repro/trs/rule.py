@@ -15,11 +15,14 @@ Two concrete rule flavours cover the paper's rule families:
 Both expose the same interface used by the RL environment and the search
 baselines:
 
+* ``matches(node)`` says whether the rule applies at the root of ``node``.
+  It depends on the node's structure alone, which is what lets
+  :meth:`repro.trs.registry.RuleSet.find_all` memoize it per node and match
+  every rule in one walk of the expression;
 * ``find(expr)`` returns the list of *paths* (locations) where the rule is
   applicable, in pre-order;
 * ``find_in(nodes)`` does the same over a pre-order ``(path, node)`` list
-  computed once by the caller (``iter_subexpressions``), so many rules can
-  share one walk of the expression;
+  computed once by the caller (``iter_subexpressions``);
 * ``apply_at(expr, path)`` returns the rewritten expression.
 """
 
@@ -95,6 +98,10 @@ class Rule:
 
     def find_in(self, nodes: Nodes) -> List[Path]:
         """Paths of the ``(path, node)`` pairs (in order) where this rule applies."""
+        return [path for path, node in nodes if self.matches(node)]
+
+    def matches(self, node: Expr) -> bool:
+        """True when the rule applies at the root of ``node``."""
         raise NotImplementedError
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
@@ -102,10 +109,6 @@ class Rule:
         raise NotImplementedError
 
     # -- conveniences ---------------------------------------------------------
-    def applicable(self, expr: Expr) -> bool:
-        """True when the rule matches anywhere in ``expr``."""
-        return bool(self.find(expr))
-
     def apply_first(self, expr: Expr) -> Expr:
         """Apply the rule at its first match (raises if there is none)."""
         locations = self.find(expr)
@@ -139,13 +142,9 @@ class PatternRule(Rule):
         self.guard = guard
         self.builder = builder
 
-    def find_in(self, nodes: Nodes) -> List[Path]:
-        locations: List[Path] = []
-        for path, node in nodes:
-            bindings = match(self.lhs, node)
-            if bindings is not None and (self.guard is None or self.guard(bindings)):
-                locations.append(path)
-        return locations
+    def matches(self, node: Expr) -> bool:
+        bindings = match(self.lhs, node)
+        return bindings is not None and (self.guard is None or self.guard(bindings))
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
         target = get_at(expr, path)
@@ -184,12 +183,8 @@ class FunctionRule(Rule):
         self.matcher = matcher
         self.rewriter = rewriter
 
-    def find_in(self, nodes: Nodes) -> List[Path]:
-        return [
-            path
-            for path, node in nodes
-            if self.matcher(node) and self.rewriter(node) is not None
-        ]
+    def matches(self, node: Expr) -> bool:
+        return bool(self.matcher(node)) and self.rewriter(node) is not None
 
     def apply_at(self, expr: Expr, path: Path) -> Expr:
         target = get_at(expr, path)

@@ -1,5 +1,8 @@
 """Smoke tests for the experiment harness and reporting utilities."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.baselines import GreedyChehabCompiler, ScalarCompiler
@@ -11,8 +14,14 @@ from repro.experiments import (
     run_motivating_example,
     write_csv,
 )
+from repro.compiler.registry import build_compiler
 from repro.experiments.reporting import series_by_compiler
 from repro.kernels import benchmark_by_name
+from repro.kernels.registry import benchmark_suite
+
+#: Rule names the default ``chehab-rl`` compiler applies to each suite
+#: kernel, recorded before the policy's encoder went ``[CLS]``-only.
+RECORDED_RL_SEQUENCES = Path(__file__).parent / "data" / "chehab_rl_rule_sequences.json"
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +29,19 @@ def small_results():
     benchmarks = [benchmark_by_name("dot_product_4"), benchmark_by_name("l2_distance_4")]
     runner = BenchmarkRunner({"CHEHAB": GreedyChehabCompiler(), "Initial": ScalarCompiler()})
     return runner, runner.run(benchmarks)
+
+
+class TestDefaultAgent:
+    def test_chehab_rl_applies_the_recorded_rule_sequences(self):
+        compiler = build_compiler("chehab-rl")
+        observed = {
+            benchmark.name: [
+                step.rule_name
+                for step in compiler.compile_expression(benchmark.expression()).rewrite_steps
+            ]
+            for benchmark in benchmark_suite()
+        }
+        assert observed == json.loads(RECORDED_RL_SEQUENCES.read_text())
 
 
 class TestRunner:

@@ -1,10 +1,54 @@
 """Unit tests for depth, multiplicative depth, operation counts and the DAG."""
 
+import random
+
 import pytest
 
 from repro.ir import circuit_depth, count_ops, expression_size, multiplicative_depth, parse, variables
-from repro.ir.analysis import constants, dag_size, rotation_steps, unique_subexpressions
+from repro.ir.analysis import (
+    constants,
+    dag_size,
+    iter_subexpressions,
+    rotation_steps,
+    unique_subexpressions,
+)
 from repro.ir.dag import build_dag
+from repro.ir.nodes import Add, Const, Mul, Neg, Rotate, Sub, Var, Vec, VecAdd, VecMul
+from repro.kernels.registry import benchmark_suite
+
+
+def _tree_walk_unique(expr):
+    """First occurrences over the full tree walk (the reference order)."""
+    seen, ordered = set(), []
+    for _, node in iter_subexpressions(expr):
+        if node not in seen:
+            seen.add(node)
+            ordered.append(node)
+    return ordered
+
+
+def _random_shared_expr(rng, size):
+    """Random expression built from a pool, so subterms are shared."""
+    pool = [Var(name) for name in "abcd"] + [Const(2), Const(0)]
+    for _ in range(size):
+        pick = lambda: rng.choice(pool)  # noqa: E731
+        kind = rng.randrange(7)
+        if kind == 0:
+            node = Add(pick(), pick())
+        elif kind == 1:
+            node = Mul(pick(), pick())
+        elif kind == 2:
+            node = Sub(pick(), pick())
+        elif kind == 3:
+            node = Neg(pick())
+        elif kind == 4:
+            node = Vec(*[pick() for _ in range(rng.randrange(1, 4))])
+        elif kind == 5:
+            node = Rotate(VecAdd(Vec(pick()), Vec(pick())), rng.randrange(1, 4))
+        else:
+            node = VecMul(Vec(pick(), pick()), Vec(pick(), pick()))
+        pool.append(node)
+    return Vec(*pool[-6:])
 
 
 class TestDepths:
@@ -102,6 +146,27 @@ class TestStructure:
         expr = parse("(+ (* a b) (* a b))")
         nodes = unique_subexpressions(expr)
         assert len(nodes) == 4
+
+    def test_unique_subexpressions_equals_the_tree_walk_on_the_suite(self):
+        for benchmark in benchmark_suite():
+            expr = benchmark.expression()
+            assert unique_subexpressions(expr) == _tree_walk_unique(expr), benchmark.name
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unique_subexpressions_equals_the_tree_walk_with_sharing(self, seed):
+        expr = _random_shared_expr(random.Random(seed), size=30)
+        expected = _tree_walk_unique(expr)
+        assert expression_size(expr) > len(expected)  # some subterm is shared
+        assert unique_subexpressions(expr) == expected
+
+    def test_unique_subexpressions_is_linear_in_the_dag(self):
+        # A doubling chain: 2**61 - 1 tree nodes, 61 DAG nodes.
+        expr = Var("x")
+        for _ in range(60):
+            expr = Add(expr, expr)
+        # Compare operator names only: a failure message must not print
+        # the tree.
+        assert [node.op for node in unique_subexpressions(expr)] == ["+"] * 60 + ["var"]
 
 
 class TestDag:

@@ -5,8 +5,12 @@ import gc
 import numpy as np
 import pytest
 
+from repro.datagen import SyntheticKernelGenerator, build_dataset
 from repro.ir import parse
+from repro.ir.analysis import iter_subexpressions
+from repro.ir.nodes import Mul
 from repro.ir.tokenize import ICITokenizer
+from repro.kernels.registry import benchmark_suite
 from repro.nn import (
     GRU,
     MLP,
@@ -34,6 +38,8 @@ from repro.rl import (
 )
 from repro.rl.env import dataset_source
 from repro.rl.autoencoder import AutoencoderConfig, GRUAutoencoder, TransformerAutoencoder, train_autoencoder
+from repro.trs.registry import RuleSet
+from repro.trs.rule import FunctionRule
 
 
 def _numeric_gradient(fn, x, eps=1e-6):
@@ -142,6 +148,34 @@ class TestModules:
         pooled = encoder.encode(ids, mask)
         assert pooled.shape == (1, 16)
 
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_encode_equals_first_position_of_forward(self, num_layers):
+        # encode() carries only [CLS] through the last layer; values and
+        # every parameter gradient match the full per-token path.
+        encoder = TransformerEncoder(
+            vocab_size=20, model_dim=16, num_layers=num_layers, num_heads=2, max_length=12, seed=3
+        )
+        rng = np.random.default_rng(0)
+        ids = rng.integers(1, 20, size=(3, 12))
+        mask = np.ones((3, 12), dtype=int)
+        mask[0, 7:] = 0
+        mask[2, 3:] = 0
+        weights = rng.normal(size=(3, 16))
+
+        def run(pooled_fn):
+            encoder.zero_grad()
+            pooled = pooled_fn()
+            (pooled * Tensor(weights)).sum().backward()
+            return pooled.numpy(), {name: p.grad.copy() for name, p in encoder.named_parameters()}
+
+        pooled, grads = run(lambda: encoder.encode(ids, mask))
+        full, full_grads = run(lambda: encoder.forward(ids, mask)[:, 0, :])
+        assert pooled.shape == (3, 16)
+        np.testing.assert_allclose(pooled, full, rtol=0, atol=1e-12)
+        assert grads.keys() == full_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], full_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
     def test_gru_shapes(self):
         gru = GRU(6, 5, num_layers=2, bidirectional=True, seed=0)
         out = gru(Tensor(np.random.default_rng(0).normal(size=(3, 4, 6))))
@@ -233,6 +267,44 @@ class TestEnvironment:
         env.step((ruleset.end_index - 1, 0))
         _obs, _reward, done, _info = env.step((ruleset.end_index - 1, 0))
         assert done
+
+    def test_match_memo_equals_every_rules_find(self, ruleset):
+        # Seeded random episodes over the default agent's training data:
+        # after every reset and step, the memoized location lists equal a
+        # fresh per-rule scan.  No default procedural rule declines on this
+        # data, so one that declines on leaf-by-leaf products is added.
+        declining = FunctionRule(
+            "mul-commute-unless-leaves",
+            lambda node: isinstance(node, Mul),
+            lambda node: None if node.lhs.is_leaf() and node.rhs.is_leaf() else Mul(node.rhs, node.lhs),
+        )
+        rules = RuleSet(list(ruleset) + [declining])
+        benchmarks = [b.expression() for b in benchmark_suite(include_deep_trees=False)]
+        dataset = build_dataset(SyntheticKernelGenerator(seed=0, max_size=6), 64, benchmarks=benchmarks)
+        env = FheRewriteEnv(
+            dataset_source(list(dataset), seed=0),
+            ruleset=rules,
+            tokenizer=ICITokenizer(max_length=96),
+            config=EnvConfig(max_steps=8, max_locations=8, max_tokens=96),
+        )
+        rng = np.random.default_rng(0)
+        declined = accepted = 0
+        for _ in range(12):
+            observation, done = env.reset(), False
+            while True:
+                assert env.locations == [rule.find(env.current) for rule in rules]
+                products = [node for _, node in iter_subexpressions(env.current) if isinstance(node, Mul)]
+                accepted += len(env.locations[-1])
+                declined += len(products) - len(env.locations[-1])
+                if done:
+                    break
+                applicable = np.flatnonzero(observation.rule_mask[:-1])
+                if len(applicable) == 0:
+                    break
+                rule_index = int(rng.choice(applicable))
+                location = int(rng.integers(0, observation.location_counts[rule_index]))
+                observation, _reward, done, _info = env.step((rule_index, location))
+        assert declined > 0 and accepted > 0
 
     def test_step_only_reward_config(self, ruleset):
         config = RewardConfig(use_terminal_reward=False)

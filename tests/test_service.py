@@ -285,6 +285,27 @@ class TestWarmCacheSpeedup:
             f"warm run not >=5x faster: cold {cold_wall:.3f}s, warm {warm_wall:.3f}s"
         )
 
+    def test_parallel_cold_batch_then_warm_batch_from_cache(self):
+        # A cold 2-worker batch runs in the pool with no serial fallback and
+        # one report per job; the warm rerun is served entirely from the
+        # cache and is at least 5x faster.
+        service = CompilationService(
+            options=CompilerOptions(optimizer="greedy", max_rewrite_steps=10), workers=2
+        )
+        jobs = _jobs(small_benchmark_suite())
+        start = time.perf_counter()
+        cold = service.compile_batch(jobs)
+        cold_wall = time.perf_counter() - start
+        start = time.perf_counter()
+        warm = service.compile_batch(jobs)
+        warm_wall = time.perf_counter() - start
+        assert cold.serial_fallback_reason is None
+        assert [report.name for report in cold.reports] == [job.name for job in jobs]
+        assert warm.cache_hits == len(jobs)
+        assert cold_wall >= 5 * warm_wall, (
+            f"warm run not >=5x faster: cold {cold_wall:.3f}s, warm {warm_wall:.3f}s"
+        )
+
 
 # ---------------------------------------------------------------------------
 # harness integration

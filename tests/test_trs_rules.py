@@ -1,5 +1,8 @@
 """Unit tests for the term rewriting system: registry, specific rules, engines."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.cost import CostModel
@@ -7,6 +10,7 @@ from repro.ir import parse, to_sexpr
 from repro.ir.evaluate import evaluate, output_arity
 from repro.ir.analysis import iter_subexpressions, variables, count_ops, multiplicative_depth
 from repro.ir.pattern import find_matches
+from repro.kernels.registry import small_benchmark_suite
 from repro.trs import (
     BeamSearchRewriter,
     GreedyRewriter,
@@ -15,7 +19,12 @@ from repro.trs import (
     apply_sequence,
     default_ruleset,
 )
-from repro.trs.rule import PatternRule, pattern
+from repro.trs.rule import FunctionRule, PatternRule, pattern
+
+#: Greedy and beam step sequences and final costs on
+#: ``small_benchmark_suite()``, recorded before matching went through
+#: ``RuleSet.find_all``; keyed ``"<driver>/<kernel>"``.
+RECORDED_SEQUENCES = Path(__file__).parent / "data" / "greedy_beam_sequences.json"
 
 
 def _environment(expr, value=3):
@@ -66,6 +75,26 @@ class TestRegistry:
         expr = parse("(+ (* a b) (* a c))")
         index = ruleset.index_of("comm-factor")
         assert ruleset.apply(expr, index) == parse("(* a (+ b c))")
+
+    def test_find_all_equals_every_rules_find(self, ruleset):
+        memo = {}
+        exprs = [benchmark.expression() for benchmark in small_benchmark_suite()]
+        exprs += [parse("(+ (+ (* a b) (* a c)) (+ (* x 0) (* y 1)))"), parse("x")]
+        for expr in exprs:
+            expected = [rule.find(expr) for rule in ruleset]
+            assert ruleset.find_all(expr) == expected
+            # A memo shared across expressions gives the same lists.
+            assert ruleset.find_all(expr, memo) == expected
+            assert ruleset.find_all(expr, memo) == expected
+
+    def test_head_index_covers_every_rule(self, ruleset):
+        # Every pattern rule has an operator head, so only the procedural
+        # rules are tried at every node.
+        patterns = [rule for rule in ruleset if isinstance(rule, PatternRule)]
+        functions = [rule for rule in ruleset if isinstance(rule, FunctionRule)]
+        assert len(patterns) + len(functions) == len(ruleset)
+        assert all(rule.lhs.op != "pattern" for rule in patterns)
+        assert len(ruleset._anywhere) == len(functions)
 
 
 class TestSpecificRewrites:
@@ -223,6 +252,19 @@ class TestRewriters:
         expr = parse("(+ (* a b) (* a c))")
         result = RandomRewriter(max_steps=8, seed=3).optimize(expr)
         assert_semantics_preserved(expr, result.optimized)
+
+    def test_greedy_and_beam_match_recorded_sequences(self):
+        recorded = json.loads(RECORDED_SEQUENCES.read_text())
+        drivers = {"greedy": GreedyRewriter(), "beam": BeamSearchRewriter()}
+        observed = {}
+        for label, driver in drivers.items():
+            for benchmark in small_benchmark_suite():
+                result = driver.optimize(benchmark.expression())
+                observed[f"{label}/{benchmark.name}"] = {
+                    "final_cost": result.final_cost,
+                    "steps": [[step.rule_name, step.location_index] for step in result.steps],
+                }
+        assert observed == recorded
 
     def test_apply_sequence_follows_actions(self, ruleset):
         expr = parse("(+ (* a b) (* a c))")
