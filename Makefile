@@ -18,10 +18,8 @@ benchmarks:
 # to the direct api path), the overload hardening (bounded queue sheds
 # under a burst while completing and accounting for every job), the
 # study engine (interrupted ablation study resumes without re-running
-# finished replicates), the tracing pipeline (mixed burst with tracing
-# on: connected per-job traces, Perfetto-loadable export, stage report)
-# and the static-analysis stack (lint clean, two workloads verify clean,
-# the mutation harness detects every injected defect).
+# finished replicates) and the tracing pipeline (mixed burst with tracing
+# on: connected per-job traces, Perfetto-loadable export, stage report).
 smoke:
 	$(PYTHON) -m pytest tests -x -q
 	$(PYTHON) scripts/server_smoke.py
@@ -29,7 +27,6 @@ smoke:
 	$(PYTHON) scripts/overload_smoke.py
 	$(PYTHON) scripts/study_smoke.py
 	$(PYTHON) scripts/trace_smoke.py
-	$(PYTHON) scripts/analysis_smoke.py
 
 # Concurrency/determinism/hygiene lint over src/repro (non-zero on ERROR).
 lint:

@@ -54,7 +54,7 @@ The package is organised around the paper's system:
   ``repro.list_backends()`` (also exposed as the ``python -m repro`` CLI).
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 #: Facade names re-exported lazily from :mod:`repro.api` so that
 #: ``import repro`` stays cheap and circular imports (the cache stamps

@@ -19,7 +19,11 @@ Step 4 is the behavioural signature the paper reports for Coyote: correct
 circuits that contain many rotations and ciphertext-plaintext
 multiplications, consume more noise budget, and execute slower than the
 rotation-sparing circuits CHEHAB RL produces — while step 3 reproduces its
-much larger compilation times on big kernels.
+much larger compilation times on big kernels.  The baseline's compile cost
+is the number of candidates it scores, not Python overhead: each pack's
+candidates are scored together as one numpy batch, the DAG is built once per
+compile, and the outer layout search ranks candidate circuits by opcode
+counts.
 """
 
 from __future__ import annotations
@@ -47,6 +51,16 @@ from repro.ir.nodes import Const, Expr, Var, Vec
 __all__ = ["CoyoteOptions", "CoyoteCompiler"]
 
 _SCALAR_OPS = {"+": Opcode.ADD, "-": Opcode.SUB, "*": Opcode.MUL, "neg": Opcode.NEGATE}
+
+#: Estimated cost of one instruction when ranking candidate layouts
+#: (ciphertext multiplications, then rotations, then plaintext masks).
+_LAYOUT_WEIGHTS = {
+    Opcode.MUL: 100.0,
+    Opcode.ROTATE: 50.0,
+    Opcode.MUL_PLAIN: 25.0,
+    Opcode.ADD: 1.0,
+    Opcode.ADD_PLAIN: 1.0,
+}
 
 
 @dataclass
@@ -88,29 +102,21 @@ class _VectorizeSearchStage:
         compiler = self.compiler
         folded = state.expr
         outputs = list(folded.elements) if isinstance(folded, Vec) else [folded]
+        dag = build_dag(outputs[0] if len(outputs) == 1 else Vec(*outputs))
 
         # Outer layout search: score several candidate input-data layouts by
         # fully planning the vectorized circuit for each and keeping the one
         # with the lowest estimated cost (rotations + masks dominate).
         rng = np.random.default_rng(compiler.options.seed)
-        leaf_count = sum(
-            1 for node in build_dag(outputs[0] if len(outputs) == 1 else Vec(*outputs)).nodes
-            if isinstance(node.expr, (Var, Const))
-        )
+        leaf_count = sum(1 for node in dag.nodes if isinstance(node.expr, (Var, Const)))
         candidates = max(1, min(compiler.options.layout_candidates, max(1, leaf_count)))
         best_program: Optional[CircuitProgram] = None
         best_score = float("inf")
         for candidate in range(candidates):
             permute = candidate > 0
-            program = compiler._vectorize(outputs, state.name, rng=rng, permute_leaves=permute)
+            program = compiler._vectorize(outputs, dag, state.name, rng=rng, permute_leaves=permute)
             program = dead_code_eliminate(program)
-            stats = program.stats()
-            score = (
-                100.0 * stats.ct_ct_multiplications
-                + 50.0 * stats.rotations
-                + 25.0 * stats.ct_pt_multiplications
-                + 1.0 * stats.additions
-            )
+            score = sum(_LAYOUT_WEIGHTS.get(ins.opcode, 0.0) for ins in program.instructions)
             if score < best_score:
                 best_score = score
                 best_program = program
@@ -151,19 +157,15 @@ class CoyoteCompiler:
     def _vectorize(
         self,
         outputs: Sequence[Expr],
+        dag: Dag,
         name: str,
-        rng: Optional[np.random.Generator] = None,
+        rng: np.random.Generator,
         permute_leaves: bool = False,
     ) -> CircuitProgram:
-        if rng is None:
-            rng = np.random.default_rng(self.options.seed)
+        """Plan one vectorized circuit over ``dag``, the shared DAG of ``outputs``."""
         program = CircuitProgram(name=name)
 
-        # 1. Build one shared DAG over all outputs.
-        root = outputs[0] if len(outputs) == 1 else Vec(*outputs)
-        dag = build_dag(root)
-
-        # 2. Collect leaves and pack them into a single input ciphertext,
+        # 1. Collect leaves and pack them into a single input ciphertext,
         #    possibly with a permuted layout (outer layout search).
         leaf_nodes: List[int] = []
         for node in dag.nodes:
@@ -198,7 +200,7 @@ class CoyoteCompiler:
             for node_id, lane in leaf_lane.items()
         }
 
-        # 3. Group compute nodes by level.
+        # 2. Group compute nodes by level.
         levels: Dict[int, List[int]] = {}
         for node in dag.nodes:
             if node.expr.op in _SCALAR_OPS:
@@ -241,7 +243,7 @@ class CoyoteCompiler:
             assert accumulator is not None
             return accumulator
 
-        # 4. Vectorize level by level with a lane-assignment search.
+        # 3. Vectorize level by level with a lane-assignment search.
         for depth in sorted(levels):
             node_ids = levels[depth]
             by_op: Dict[str, List[int]] = {}
@@ -266,7 +268,7 @@ class CoyoteCompiler:
                 for node_id in group:
                     placements[node_id] = _Placement(register=result, lane=lanes[node_id])
 
-        # 5. Gather the outputs into their final layout (output i at slot i).
+        # 4. Gather the outputs into their final layout (output i at slot i).
         output_sources: List[Tuple[_Placement, int]] = []
         for index, output in enumerate(outputs):
             node_id = dag.index[output]
@@ -283,44 +285,51 @@ class CoyoteCompiler:
         placements: Dict[int, _Placement],
         rng: np.random.Generator,
     ) -> Dict[int, int]:
-        """Search lane permutations for one pack, minimising data movement."""
+        """Search lane permutations for one pack, minimising data movement.
+
+        Candidate 0 is the identity order, the others are random
+        permutations; all of them are scored in one batch and the first
+        candidate of minimum cost wins.
+        """
         width = len(group)
-        base = list(range(width))
         candidate_count = min(
             self.options.max_candidates,
             max(self.options.search_candidates, width * width),
         )
-        best_assignment: Optional[Dict[int, int]] = None
-        best_score = float("inf")
-        for candidate in range(candidate_count):
-            if candidate == 0:
-                order = base
-            else:
-                order = list(rng.permutation(width))
-            assignment = {node_id: order[i] for i, node_id in enumerate(group)}
-            score = self._movement_cost(group, assignment, dag, placements)
-            if score < best_score:
-                best_score = score
-                best_assignment = assignment
-        assert best_assignment is not None
-        return best_assignment
+        orders = np.tile(np.arange(width, dtype=np.int64), (candidate_count, 1))
+        if candidate_count > 1:
+            orders[1:] = rng.permuted(orders[1:], axis=1)
+        costs = self._movement_costs(orders, group, dag, placements)
+        best = orders[int(np.argmin(costs))].tolist()
+        return dict(zip(group, best))
 
     @staticmethod
-    def _movement_cost(
+    def _movement_costs(
+        orders: np.ndarray,
         group: List[int],
-        assignment: Dict[int, int],
         dag: Dag,
         placements: Dict[int, _Placement],
-    ) -> float:
-        """Number of distinct (source register, shift) pairs over all operands."""
-        distinct: set = set()
-        for node_id in group:
-            node = dag.nodes[node_id]
-            for operand_id in node.operands:
+    ) -> np.ndarray:
+        """Per candidate lane order (a row of ``orders``, lane of ``group[i]``
+        in column ``i``): the number of distinct ``(source register, shift)``
+        pairs over the group's operands, i.e. the rotate + mask pieces its
+        gathers emit."""
+        owners: List[int] = []
+        registers: List[int] = []
+        source_lanes: List[int] = []
+        for index, node_id in enumerate(group):
+            for operand_id in dag.nodes[node_id].operands:
                 placement = placements[operand_id]
-                shift = placement.lane - assignment[node_id]
-                distinct.add((placement.register, shift))
-        return float(len(distinct))
+                owners.append(index)
+                registers.append(placement.register)
+                source_lanes.append(placement.lane)
+        # shifts[c, k] lies in (-width, max lane], so shifting it by width
+        # and scaling the register by the span packs each pair into one key.
+        shifts = np.asarray(source_lanes, dtype=np.int64) - orders[:, owners]
+        span = max(source_lanes) + orders.shape[1] + 1
+        keys = np.asarray(registers, dtype=np.int64) * span + (shifts + orders.shape[1])
+        keys.sort(axis=1)
+        return 1 + np.count_nonzero(np.diff(keys, axis=1), axis=1)
 
 
 @register_compiler(

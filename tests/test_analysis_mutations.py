@@ -55,6 +55,13 @@ def test_detection_rate_is_total(harness) -> None:
         assert harness.detection_rate(kind) == 1.0, harness.summary_lines()
 
 
+def test_second_draw_detects_every_class(cases) -> None:
+    """An independent seed and sample size: still every class, all caught."""
+    result = run_mutation_harness(cases, seed=7, per_class=2)
+    assert result.classes_exercised == sorted(DEFECT_CLASSES)
+    assert result.all_detected, result.summary_lines()
+
+
 def test_detections_name_a_rule(harness) -> None:
     for outcomes in harness.outcomes.values():
         for outcome in outcomes:

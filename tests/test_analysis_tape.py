@@ -100,6 +100,17 @@ def test_analyze_facade_all_opt_levels(level) -> None:
     assert got.outputs == expected.outputs
 
 
+@pytest.mark.parametrize("compiler", COMPILERS)
+@pytest.mark.parametrize("workload_name", ("dot-product", "l2-distance"))
+def test_analyze_facade_clean(workload_name, compiler) -> None:
+    """``api.analyze`` end to end (pipeline validators + tape verifier) on a
+    rotation-heavy reduction and a fusion-heavy kernel."""
+    workload = build_workload(workload_name)
+    _, analysis = api.analyze(workload.source, compiler, name=workload.name)
+    assert analysis.ok
+    assert not analysis.findings, [f.render() for f in analysis.findings[:3]]
+
+
 def _execute_directly(backend, circuit, inputs):
     return backend.execute_many(circuit, [inputs], params=PARAMS)[0]
 
