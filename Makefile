@@ -12,20 +12,17 @@ benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 # Fast CI smoke: tier-1 tests (which include the 2-worker
-# compilation-service cold/warm run), the job-orchestration server (mixed
-# compile+execute workload, coalescing asserted via telemetry), the
-# workload suite (mixed traffic over a persistent state dir, bit-identical
-# to the direct api path), the overload hardening (bounded queue sheds
-# under a burst while completing and accounting for every job), the
-# study engine (interrupted ablation study resumes without re-running
-# finished replicates) and the tracing pipeline (mixed burst with tracing
-# on: connected per-job traces, Perfetto-loadable export, stage report).
+# compilation-service cold/warm run, the persistent-state-dir workload
+# traffic run and the interrupted-study resume), the job-orchestration
+# server (mixed compile+execute workload, coalescing asserted via
+# telemetry), the overload hardening (bounded queue sheds under a burst
+# while completing and accounting for every job) and the tracing pipeline
+# (mixed burst with tracing on: connected per-job traces, Perfetto-loadable
+# export, stage report).
 smoke:
 	$(PYTHON) -m pytest tests -x -q
 	$(PYTHON) scripts/server_smoke.py
-	$(PYTHON) scripts/workload_smoke.py
 	$(PYTHON) scripts/overload_smoke.py
-	$(PYTHON) scripts/study_smoke.py
 	$(PYTHON) scripts/trace_smoke.py
 
 # Concurrency/determinism/hygiene lint over src/repro (non-zero on ERROR).

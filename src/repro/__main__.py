@@ -67,7 +67,7 @@ import argparse
 import ast
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import api
 from repro.compiler.pipeline import CompilationReport
@@ -80,6 +80,25 @@ def _read_source(token: str) -> str:
         with open(token[1:], "r", encoding="utf-8") as handle:
             return handle.read()
     return token
+
+
+def _resolve_target(token: str, compiler: Optional[str]) -> Tuple[object, str, Optional[str]]:
+    """``(source, compiler, name)`` for a workload name, kernel name or
+    s-expression (``@file`` / ``-`` read from disk / stdin).
+
+    A workload brings its default compiler; otherwise ``greedy``.
+    """
+    from repro.workloads import available_workloads, build_workload
+
+    if token in available_workloads():
+        workload = build_workload(token)
+        return workload.source, compiler or workload.compiler, workload.name
+    from repro.kernels.registry import benchmark_suite
+
+    match = next((b for b in benchmark_suite() if b.name == token), None)
+    if match is not None:
+        return match.expression(), compiler or "greedy", match.name
+    return _read_source(token), compiler or "greedy", None
 
 
 def _parse_value(text: str) -> object:
@@ -672,26 +691,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "tape":
         from repro.backends.tapeopt import get_compiled_tape
         from repro.fhe.params import BFVParameters
-        from repro.workloads import available_workloads, build_workload
 
-        source = args.source
-        compiler = args.compiler
-        name = None
-        if source in available_workloads():
-            workload = build_workload(source)
-            source = workload.source
-            compiler = compiler or workload.compiler
-            name = workload.name
-        else:
-            from repro.kernels.registry import benchmark_suite
-
-            match = next((b for b in benchmark_suite() if b.name == source), None)
-            if match is not None:
-                source = match.expression()
-                name = match.name
-            else:
-                source = _read_source(source)
-        report = api.compile(source, compiler or "greedy", name=name)
+        source, compiler, name = _resolve_target(args.source, args.compiler)
+        report = api.compile(source, compiler, name=name)
         params = BFVParameters.default(args.degree)
         tape = get_compiled_tape(report.circuit, params)
         print(f"kernel: {report.name} ({report.circuit.name}), n={args.degree}")
@@ -703,31 +705,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "analyze":
-        from repro.workloads import available_workloads, build_workload
+        from repro.workloads import available_workloads
 
-        def _resolve(token: str):
-            """(source, compiler, name) for a workload/kernel/s-expr token."""
-            if token in available_workloads():
-                workload = build_workload(token)
-                return workload.source, args.compiler or workload.compiler, workload.name
-            from repro.kernels.registry import benchmark_suite
-
-            match = next((b for b in benchmark_suite() if b.name == token), None)
-            if match is not None:
-                return match.expression(), args.compiler, match.name
-            return _read_source(token), args.compiler, None
-
-        targets = [args.source] if args.source else sorted(available_workloads())
+        targets = [args.source] if args.source else available_workloads()
         payload = []
         failed = False
         for token in targets:
-            source, compiler, name = _resolve(token)
-            _, analysis = api.analyze(
-                source,
-                compiler or "greedy",
-                name=name,
-                degree=args.degree,
-            )
+            source, compiler, name = _resolve_target(token, args.compiler)
+            _, analysis = api.analyze(source, compiler, name=name, degree=args.degree)
             failed = failed or not analysis.ok
             if args.json:
                 entry = analysis.as_dict()

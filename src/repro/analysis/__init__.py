@@ -34,17 +34,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "Severity",
     "Finding",
     "AnalysisReport",
-    "CheckerInfo",
-    "CheckerRegistry",
-    "register_checker",
-    "available_checkers",
-    "checker_info",
 ]
 
 
@@ -186,76 +181,3 @@ class AnalysisReport:
             )
         )
         return lines
-
-
-@dataclass(frozen=True)
-class CheckerInfo:
-    """Registry metadata of one checker."""
-
-    name: str
-    kind: str  # "tape" | "pipeline" | "lint"
-    description: str
-    fn: Callable
-
-
-class CheckerRegistry:
-    """Named registry of the analyzers, in the repo's decorator idiom."""
-
-    def __init__(self) -> None:
-        self._checkers: Dict[str, CheckerInfo] = {}
-
-    def register(self, name: str, kind: str, description: str = "") -> Callable:
-        if kind not in ("tape", "pipeline", "lint"):
-            raise ValueError(f"unknown checker kind {kind!r}")
-
-        def decorator(fn: Callable) -> Callable:
-            if name in self._checkers:
-                raise ValueError(f"checker {name!r} already registered")
-            self._checkers[name] = CheckerInfo(
-                name=name, kind=kind, description=description, fn=fn
-            )
-            return fn
-
-        return decorator
-
-    def names(self, kind: Optional[str] = None) -> List[str]:
-        return sorted(
-            name
-            for name, info in self._checkers.items()
-            if kind is None or info.kind == kind
-        )
-
-    def get(self, name: str) -> CheckerInfo:
-        info = self._checkers.get(name)
-        if info is None:
-            raise KeyError(f"no checker named {name!r}")
-        return info
-
-    def of_kind(self, kind: str) -> List[CheckerInfo]:
-        return [self._checkers[name] for name in self.names(kind)]
-
-
-#: The process-wide registry all built-in checkers register into.
-REGISTRY = CheckerRegistry()
-
-
-def register_checker(name: str, kind: str, description: str = "") -> Callable:
-    """Register a checker under ``name`` (decorator)."""
-    return REGISTRY.register(name, kind, description)
-
-
-def available_checkers(kind: Optional[str] = None) -> List[str]:
-    """Names of the registered checkers, optionally filtered by kind."""
-    _load_builtins()
-    return REGISTRY.names(kind)
-
-
-def checker_info(name: str) -> CheckerInfo:
-    """Registry metadata for one checker."""
-    _load_builtins()
-    return REGISTRY.get(name)
-
-
-def _load_builtins() -> None:
-    """Import the built-in checker modules so they self-register."""
-    from repro.analysis import lint, pipeline_check, tape_check  # noqa: F401

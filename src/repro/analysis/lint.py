@@ -34,7 +34,7 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis import AnalysisReport, Severity, register_checker
+from repro.analysis import AnalysisReport, Severity
 
 __all__ = ["lint_source", "lint_paths", "default_target"]
 
@@ -219,14 +219,10 @@ def _check_class_locks(
             _check_method_locks(node, info, lines, path, report)
 
 
-@register_checker(
-    "lint-locks",
-    "lint",
-    "guarded-by lock discipline on shared mutable attributes",
-)
 def check_locks(
     tree: ast.Module, lines: Sequence[str], path: str, report: AnalysisReport
 ) -> None:
+    """``# guarded-by:`` lock discipline on shared mutable attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             _check_class_locks(node, lines, path, report)
@@ -236,14 +232,10 @@ def check_locks(
 # ---------------------------------------------------------------------------
 # lint-determinism
 # ---------------------------------------------------------------------------
-@register_checker(
-    "lint-determinism",
-    "lint",
-    "no wall clock or unseeded global RNG in deterministic paths",
-)
 def check_determinism(
     tree: ast.Module, lines: Sequence[str], path: str, report: AnalysisReport
 ) -> None:
+    """No wall clock or unseeded global RNG in deterministic paths."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -284,14 +276,10 @@ def check_determinism(
 # ---------------------------------------------------------------------------
 # lint-hygiene
 # ---------------------------------------------------------------------------
-@register_checker(
-    "lint-hygiene",
-    "lint",
-    "no bare except clauses or mutable default arguments",
-)
 def check_hygiene(
     tree: ast.Module, lines: Sequence[str], path: str, report: AnalysisReport
 ) -> None:
+    """No bare except clauses or mutable default arguments."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
             line = lines[node.lineno - 1] if node.lineno <= len(lines) else ""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.analysis import AnalysisReport, Severity, register_checker
+from repro.analysis import AnalysisReport, Severity
 from repro.compiler.circuit import CircuitProgram, Opcode
 from repro.ir.nodes import Expr, Rotate
 
@@ -75,17 +75,13 @@ _UNARY_OPCODES = {Opcode.NEGATE, Opcode.ROTATE, Opcode.OUTPUT}
 # ---------------------------------------------------------------------------
 # pipeline-expr
 # ---------------------------------------------------------------------------
-@register_checker(
-    "pipeline-expr",
-    "pipeline",
-    "expression invariants: arity, acyclicity, Vec widths, rotation steps",
-)
 def check_expression(
     expr: Expr,
     *,
     location: str = "expr",
     report: Optional[AnalysisReport] = None,
 ) -> AnalysisReport:
+    """Expression invariants: arity, acyclicity, Vec widths, rotation steps."""
     report = report if report is not None else AnalysisReport()
 
     # Iterative DFS with an explicit on-path set: validates each node once
@@ -167,17 +163,13 @@ def check_expression(
 # ---------------------------------------------------------------------------
 # pipeline-circuit
 # ---------------------------------------------------------------------------
-@register_checker(
-    "pipeline-circuit",
-    "pipeline",
-    "circuit invariants: dense SSA, def-before-use, layouts, outputs",
-)
 def check_circuit(
     program: CircuitProgram,
     *,
     location: str = "circuit",
     report: Optional[AnalysisReport] = None,
 ) -> AnalysisReport:
+    """Circuit invariants: dense SSA, def-before-use, layouts, outputs."""
     report = report if report is not None else AnalysisReport()
 
     for index, instruction in enumerate(program.instructions):

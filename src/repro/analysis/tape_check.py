@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.analysis import AnalysisReport, Severity, register_checker
+from repro.analysis import AnalysisReport, Severity
 from repro.backends.tape import (
     _NO_ALIAS_ACC,
     _NO_ALIAS_ALL,
@@ -101,11 +101,6 @@ def _reads(op: TapeOp) -> List[int]:
 # ---------------------------------------------------------------------------
 # tape-arena: def-before-use, const-pool writes, no-alias constraints
 # ---------------------------------------------------------------------------
-@register_checker(
-    "tape-arena",
-    "tape",
-    "register-arena safety: def-before-use, no-alias, read-only const pool",
-)
 def check_arena(
     report: AnalysisReport,
     program: CircuitProgram,
@@ -114,6 +109,7 @@ def check_arena(
     *,
     location: str,
 ) -> None:
+    """Register-arena safety: def-before-use, no-alias, read-only const pool."""
     n_consts = len(tape.consts)
     n_buffers = n_consts + tape.slot_count
     defined: Set[int] = set(range(n_consts))
@@ -265,11 +261,6 @@ def _output_cones(program: CircuitProgram, n: int) -> Dict[str, Tuple[int, int]]
     return cones
 
 
-@register_checker(
-    "tape-window",
-    "tape",
-    "demanded-slot window: every output's dependency cone lies in [L, H)",
-)
 def check_window(
     report: AnalysisReport,
     program: CircuitProgram,
@@ -278,6 +269,7 @@ def check_window(
     *,
     location: str,
 ) -> None:
+    """Demanded-slot window: every output's dependency cone lies in [L, H)."""
     n, width = tape.n, tape.width
     lo, hi = tape.window
     if not 0 < width <= n:
@@ -320,11 +312,6 @@ def check_window(
 # ---------------------------------------------------------------------------
 # tape-outputs: every circuit output reaches exactly one TapeOutput
 # ---------------------------------------------------------------------------
-@register_checker(
-    "tape-outputs",
-    "tape",
-    "output coverage: each circuit output maps to exactly one tape output",
-)
 def check_outputs(
     report: AnalysisReport,
     program: CircuitProgram,
@@ -333,6 +320,7 @@ def check_outputs(
     *,
     location: str,
 ) -> None:
+    """Output coverage: each circuit output maps to exactly one tape output."""
     declared = {(name, length) for _, name, length in program.outputs}
     tape_outputs: Dict[str, int] = {}
     for output in tape.outputs:
@@ -363,11 +351,6 @@ def check_outputs(
 # ---------------------------------------------------------------------------
 # tape-bounds: independent interval analysis of the reduction schedule
 # ---------------------------------------------------------------------------
-@register_checker(
-    "tape-bounds",
-    "tape",
-    "reduction-schedule soundness via independent interval analysis",
-)
 def check_bounds(
     report: AnalysisReport,
     program: CircuitProgram,
@@ -573,11 +556,6 @@ def _live_use_counts(outputs: Dict[str, object]) -> Dict[object, int]:
     return counts
 
 
-@register_checker(
-    "tape-equivalence",
-    "tape",
-    "symbolic translation validation of every output + fusion legality",
-)
 def check_equivalence(
     report: AnalysisReport,
     program: CircuitProgram,
@@ -586,6 +564,7 @@ def check_equivalence(
     *,
     location: str,
 ) -> None:
+    """Symbolic translation validation of every output + fusion legality."""
     n, t, width = tape.n, tape.t, tape.width
     try:
         circuit_outputs = _circuit_terms(program, t, n, tape.window)

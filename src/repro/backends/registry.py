@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.compiler.registry import is_canonical, render_value
+from repro.core.registry import Registry
 
 __all__ = [
     "BackendInfo",
@@ -61,8 +62,10 @@ class BackendInfo:
     produces_outputs: bool = True
 
 
-_REGISTRY: Dict[str, BackendInfo] = {}
-_builtins_loaded = False
+BACKENDS: Registry[BackendInfo] = Registry(
+    "backend",
+    ("repro.backends.reference", "repro.backends.vector_vm", "repro.backends.cost_sim"),
+)
 
 
 def register_backend(
@@ -75,47 +78,26 @@ def register_backend(
     """Decorator registering an execution-backend factory under ``name``."""
 
     def decorator(factory: Callable[..., object]) -> Callable[..., object]:
-        if name in _REGISTRY:
-            raise ValueError(f"backend {name!r} is already registered")
         doc_lines = (factory.__doc__ or "").strip().splitlines()
-        _REGISTRY[name] = BackendInfo(
-            name=name,
-            factory=factory,
-            description=description or (doc_lines[0] if doc_lines else ""),
-            use_when=use_when,
-            produces_outputs=produces_outputs,
+        BACKENDS.add(
+            name,
+            BackendInfo(
+                name=name,
+                factory=factory,
+                description=description or (doc_lines[0] if doc_lines else ""),
+                use_when=use_when,
+                produces_outputs=produces_outputs,
+            ),
         )
         return factory
 
     return decorator
 
 
-def _ensure_builtins() -> None:
-    """Import the modules that register the built-in backends."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    import repro.backends.reference  # noqa: F401
-    import repro.backends.vector_vm  # noqa: F401
-    import repro.backends.cost_sim  # noqa: F401
-
-
-def available_backends() -> List[str]:
-    """Sorted names of every registered backend."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
-
-
-def backend_info(name: str) -> BackendInfo:
-    """The registry entry for ``name``."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+#: Sorted names of every registered backend.
+available_backends = BACKENDS.names
+#: The registry entry for a backend name.
+backend_info = BACKENDS.get
 
 
 def build_backend(name: str, **options: object) -> object:

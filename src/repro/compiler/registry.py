@@ -26,7 +26,9 @@ import dataclasses
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+from repro.core.registry import Registry
 
 __all__ = [
     "CompilerInfo",
@@ -103,8 +105,12 @@ class CompilerInfo:
     paper_config: str = ""
 
 
-_REGISTRY: Dict[str, CompilerInfo] = {}
-_builtins_loaded = False
+COMPILERS: Registry[CompilerInfo] = Registry(
+    "compiler",
+    # repro.baselines registers initial/coyote/greedy; builtin_compilers
+    # registers beam and chehab-rl.
+    ("repro.baselines", "repro.compiler.builtin_compilers"),
+)
 
 
 def register_compiler(
@@ -117,46 +123,26 @@ def register_compiler(
     """Decorator registering a compiler factory under ``name``."""
 
     def decorator(factory: Callable[..., object]) -> Callable[..., object]:
-        if name in _REGISTRY:
-            raise ValueError(f"compiler {name!r} is already registered")
-        doc = description or (factory.__doc__ or "").strip().splitlines()[0:1]
-        _REGISTRY[name] = CompilerInfo(
-            name=name,
-            factory=factory,
-            normalize=normalize,
-            description=description or ("".join(doc) if doc else ""),
-            paper_config=paper_config,
+        doc_lines = (factory.__doc__ or "").strip().splitlines()
+        COMPILERS.add(
+            name,
+            CompilerInfo(
+                name=name,
+                factory=factory,
+                normalize=normalize,
+                description=description or (doc_lines[0] if doc_lines else ""),
+                paper_config=paper_config,
+            ),
         )
         return factory
 
     return decorator
 
 
-def _ensure_builtins() -> None:
-    """Import the modules that register the built-in compilers."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    import repro.baselines  # noqa: F401  (registers initial/coyote/greedy)
-    import repro.compiler.builtin_compilers  # noqa: F401  (beam, chehab-rl)
-
-
-def available_compilers() -> List[str]:
-    """Sorted names of every registered compiler."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
-
-
-def compiler_info(name: str) -> CompilerInfo:
-    """The registry entry for ``name``."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown compiler {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+#: Sorted names of every registered compiler.
+available_compilers = COMPILERS.names
+#: The registry entry for a compiler name.
+compiler_info = COMPILERS.get
 
 
 def build_compiler(name: str, **options: object) -> object:

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
+from repro.core.registry import Registry
+
 __all__ = [
     "Component",
     "register_component",
@@ -67,32 +69,24 @@ class Component:
         }
 
 
-_COMPONENTS: Dict[str, Component] = {}
+#: Every component; the built-ins below register when this module loads.
+COMPONENTS: Registry[Component] = Registry("component")
 
 
 def register_component(component: Component) -> Component:
-    """Register ``component``; later registrations replace earlier ones."""
-    _COMPONENTS[component.name] = component
-    return component
+    """Register ``component``; a taken name is refused."""
+    return COMPONENTS.add(component.name, component)
 
 
-def get_component(name: str) -> Component:
-    """The registered component called ``name``."""
-    try:
-        return _COMPONENTS[name]
-    except KeyError:
-        known = ", ".join(sorted(_COMPONENTS)) or "<none>"
-        raise KeyError(f"unknown component {name!r}; registered: {known}") from None
-
-
-def available_components() -> List[str]:
-    """Sorted names of every registered component."""
-    return sorted(_COMPONENTS)
+#: The registered component called ``name``.
+get_component = COMPONENTS.get
+#: Sorted names of every registered component.
+available_components = COMPONENTS.names
 
 
 def default_components() -> List[str]:
     """Sorted names of the components in the default study matrix."""
-    return sorted(name for name, comp in _COMPONENTS.items() if comp.default)
+    return [comp.name for comp in COMPONENTS.values() if comp.default]
 
 
 # ---------------------------------------------------------------------------

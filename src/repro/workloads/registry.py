@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro.core.registry import Registry
 from repro.ir.nodes import Expr
 
 __all__ = [
@@ -146,8 +147,9 @@ class WorkloadInfo:
         return workload
 
 
-_REGISTRY: Dict[str, WorkloadInfo] = {}
-_builtins_loaded = False
+WORKLOADS: Registry[WorkloadInfo] = Registry(
+    "workload", ("repro.workloads.neural", "repro.workloads.suites")
+)
 
 
 def register_workload(
@@ -156,45 +158,25 @@ def register_workload(
     """Decorator registering a workload factory under ``name``."""
 
     def decorator(factory: Callable[..., Workload]) -> Callable[..., Workload]:
-        if name in _REGISTRY:
-            raise ValueError(f"workload {name!r} is already registered")
         doc_lines = (factory.__doc__ or "").strip().splitlines()
-        _REGISTRY[name] = WorkloadInfo(
-            name=name,
-            factory=factory,
-            suite=suite,
-            description=description or (doc_lines[0] if doc_lines else ""),
+        WORKLOADS.add(
+            name,
+            WorkloadInfo(
+                name=name,
+                factory=factory,
+                suite=suite,
+                description=description or (doc_lines[0] if doc_lines else ""),
+            ),
         )
         return factory
 
     return decorator
 
 
-def _ensure_builtins() -> None:
-    """Import the modules that register the built-in workloads."""
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    import repro.workloads.neural  # noqa: F401
-    import repro.workloads.suites  # noqa: F401
-
-
-def available_workloads() -> List[str]:
-    """Sorted names of every registered workload."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
-
-
-def workload_info(name: str) -> WorkloadInfo:
-    """The registry entry for ``name``."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; available: {', '.join(sorted(_REGISTRY))}"
-        ) from None
+#: Sorted names of every registered workload.
+available_workloads = WORKLOADS.names
+#: The registry entry for a workload name.
+workload_info = WORKLOADS.get
 
 
 def build_workload(name: str, **options: object) -> Workload:

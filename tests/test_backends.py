@@ -18,13 +18,11 @@ from repro import api
 from repro.__main__ import main as cli_main
 from repro.backends import (
     BackendSpec,
-    BaseBackend,
     available_backends,
     backend_info,
     build_backend,
     get_backend,
     program_fingerprint,
-    register_backend,
     resolve_backend,
 )
 from repro.compiler import build_compiler, declared_outputs, execute, execute_many
@@ -66,10 +64,6 @@ class TestBackendRegistry:
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(KeyError, match="vector-vm"):
             backend_info("does-not-exist")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("reference")(BaseBackend)
 
     def test_spec_describe_is_version_stamped(self):
         spec = BackendSpec.create("vector-vm")

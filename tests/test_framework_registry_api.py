@@ -22,7 +22,6 @@ from repro.compiler import (
     available_compilers,
     build_compiler,
     circuit_stage,
-    compiler_info,
     expr_stage,
 )
 from repro.compiler.passes import constant_fold, dead_code_eliminate
@@ -155,10 +154,6 @@ class TestRegistry:
         names = available_compilers()
         for name in ("initial", "coyote", "greedy", "beam", "chehab-rl"):
             assert name in names
-
-    def test_unknown_name_lists_alternatives(self):
-        with pytest.raises(KeyError, match="available:"):
-            compiler_info("no-such-compiler")
 
     def test_build_compiler_types(self):
         assert isinstance(build_compiler("initial"), ScalarCompiler)

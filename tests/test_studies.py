@@ -205,6 +205,32 @@ class TestStudyRunner:
         assert sorted(recorded) == sorted(matrix)
         assert len(recorded) == len(matrix)
 
+    def test_facade_resume_reloads_the_spec_from_the_directory(self, tmp_path):
+        """``api.run_study(study_dir, resume=True)`` knows nothing but the
+        directory: it finishes the matrix, skips the recorded replicates,
+        and ranks every component over all its replicates with a bootstrap
+        CI around the point estimate."""
+        from repro import api
+
+        spec = dataclasses.replace(TINY, components=("coalescing", "compile-cache"))
+        study_dir = str(tmp_path / "study")
+        first = StudyRunner(spec, study_dir).run(max_runs=3)
+        assert first.remaining
+        log_before = open(os.path.join(study_dir, "study.jsonl")).read()
+
+        report = api.run_study(study_dir, resume=True, resamples=200)
+        progress = report["progress"]
+        assert progress["complete"]
+        assert sorted(progress["skipped"]) == sorted(first.executed)
+        log_after = open(os.path.join(study_dir, "study.jsonl")).read()
+        assert log_after.startswith(log_before)
+        conditions = {row["condition"] for row in report["conditions"]}
+        assert conditions == {BASELINE, *spec.components}
+        assert sorted(row["component"] for row in report["ranking"]) == sorted(spec.components)
+        for row in report["ranking"]:
+            assert row["ablated_replicates"] == spec.replicates
+            assert row["ci_low"] <= row["importance"] <= row["ci_high"]
+
     def test_resume_tolerates_torn_tail(self, tmp_path):
         study_dir = str(tmp_path / "study")
         StudyRunner(TINY, study_dir).run(max_runs=1)

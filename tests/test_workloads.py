@@ -30,7 +30,6 @@ from repro.workloads import (
     default_mix,
     generate_schedule,
     get_workload,
-    register_workload,
     run_direct_traffic,
     run_server_traffic,
     workload_info,
@@ -81,10 +80,6 @@ class TestWorkloadRegistry:
             get_workload(built, size=5)
         with pytest.raises(TypeError):
             get_workload(42)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_workload("dot-product")(lambda: None)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +267,36 @@ class TestTrafficRuns:
         payload = report.as_dict()
         assert json.dumps(payload)  # JSON-serializable by construction
         assert payload["coalescing"]["batches_total"] > 0
+
+    def test_persistent_state_dir_run_replays_completed(self, tmp_path):
+        """Over a persistent state directory: every job verifies, each
+        matches a direct ``api.execute`` from its arrival's seed, the wait
+        histogram saw every job, and a server reopened on the directory
+        replays every job as completed."""
+        from repro.server import JobServer
+
+        schedule = generate_schedule(default_mix(), 24, seed=0)
+        state_dir = str(tmp_path / "state")
+        report = run_server_traffic(schedule, state_dir=state_dir, workers=2)
+        assert report.verified_jobs == report.correct == 24
+        assert not report.oracle_mismatches
+        assert report.coalescing["batches_coalesced"] > 0
+        assert report.histogram("job_wait_s")["count"] == 24
+        for arrival, outputs in zip(schedule, report.outputs):
+            direct = api.execute(
+                arrival.workload.source,
+                arrival.inputs(),
+                arrival.compiler,
+                backend=arrival.backend,
+                name=arrival.workload.name,
+            )
+            assert direct.outputs == outputs, arrival.index
+        reborn = JobServer(state_dir)
+        try:
+            statuses = [row["status"] for row in reborn.jobs()]
+        finally:
+            reborn.close()
+        assert statuses == ["completed"] * 24
 
     def test_open_loop_schedule_completes(self):
         schedule = generate_schedule(default_mix(), 6, seed=5, rate=500.0)
